@@ -2,9 +2,6 @@
 
 from .core import (
     Episode,
-    InputVector,
-    Sample,
-    TimeEncoding,
     build_inputs,
     ingest_csv,
     linear_fill,
@@ -17,9 +14,9 @@ from .metrics import (
     CalibrationSummary,
     MetricsReport,
     aggregate,
-    calibration,
     dtw_distance,
     pointwise_metrics,
+    pooled_calibration,
     score_episode,
     segment_dtw,
 )

@@ -34,8 +34,13 @@ def _worker_cap() -> int:
     return cap
 
 
-def _episodes_for_masks(episodes, mask_map):
-    """Pair mask-file entries with ingested episodes; the mask file defines the set."""
+def _load_pairs(args):
+    """Ingest --input and read --masks; returns (mask metadata, [(episode, mask), ...]).
+
+    The mask file defines the episode set, in sorted key order.
+    """
+    episodes = ingest_csv(args.input, args.partition_gap)
+    meta, mask_map = masks.read_masks_json(args.masks)
     by_key = {(ep.patient_id, ep.episode_id): ep for ep in episodes}
     pairs = []
     for key in sorted(mask_map):
@@ -48,7 +53,7 @@ def _episodes_for_masks(episodes, mask_map):
                 f"mask length {mask.T} != episode length {ep.T} for {key[0]}/{key[1]}"
             )
         pairs.append((ep, mask))
-    return pairs
+    return meta, pairs
 
 
 def cmd_synth(args) -> int:
@@ -85,24 +90,13 @@ def cmd_synth(args) -> int:
 
 def cmd_fit(args) -> int:
     episodes = ingest_csv(args.input, args.partition_gap)
-    valid = missingness.valid_days(episodes)
-    gaps = missingness.extract_gaps(episodes, valid)
-    onset = missingness.onset_probabilities(gaps, valid)
+    gaps, onset = missingness.fit_onsets(episodes)
     print("onset probabilities:", " ".join(f"{p:.4f}" for p in onset))
     try:
-        regimes = {
-            regime: missingness.RegimeModel(
-                pi_short=missingness.short_gap_probability(gaps, regime),
-                mixture=missingness.fit_mixture(gaps, regime, min_gaps=args.min_gaps),
-            )
-            for regime in ("day", "night")
-        }
+        model = missingness.fit_regimes(gaps, onset, min_gaps=args.min_gaps)
     except (EstimationError, FitError) as exc:
         print(f"error: mixture estimation failed: {exc}", file=sys.stderr)
         return 1
-    model = missingness.MissingnessModel(
-        tuple(float(p) for p in onset), regimes["day"], regimes["night"]
-    )
     missingness.save_model(model, args.out)
     print(args.out)
     return 0
@@ -167,12 +161,9 @@ def cmd_stress(args) -> int:
 
 
 def cmd_impute(args) -> int:
-    episodes = ingest_csv(args.input, args.partition_gap)
-    _, mask_map = masks.read_masks_json(args.masks)
-    pairs = _episodes_for_masks(episodes, mask_map)
+    _, pairs = _load_pairs(args)
     if args.external is not None:
-        eval_eps = [ep for ep, _ in pairs]
-        imputations = imputers.load_external(args.external, eval_eps, mask_map)
+        imputations = imputers.load_external(args.external, pairs)
     else:
         impute = imputers.BUILTIN_IMPUTERS[args.method]
         imputations = [impute(ep, mask) for ep, mask in pairs]
@@ -182,10 +173,7 @@ def cmd_impute(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    episodes = ingest_csv(args.input, args.partition_gap)
-    meta, mask_map = masks.read_masks_json(args.masks)
-    pairs = _episodes_for_masks(episodes, mask_map)
-    eval_eps = [ep for ep, _ in pairs]
+    meta, pairs = _load_pairs(args)
     protocol = PROTOCOL_LABELS.get(meta.get("provenance", "empirical"), "empirical")
     condition = meta.get("condition", "-")
     if args.windows is not None:
@@ -194,9 +182,8 @@ def cmd_evaluate(args) -> int:
         condition = wmeta.get("condition", condition)
     entries = []
     for path in args.imputed:
-        imputations = imputers.load_external(path, eval_eps, mask_map)
-        for ep, imp in zip(eval_eps, imputations):
-            mask = mask_map[(ep.patient_id, ep.episode_id)]
+        imputations = imputers.load_external(path, pairs)
+        for (ep, mask), imp in zip(pairs, imputations):
             if not (mask.bits == 0).any():
                 continue  # nothing masked on this episode, nothing to score
             report = metrics.score_episode(ep.glucose, imp.values, mask)
@@ -223,21 +210,15 @@ _CAL_FILTERS = {
 
 
 def cmd_calibrate(args) -> int:
-    episodes = ingest_csv(args.input, args.partition_gap)
-    _, mask_map = masks.read_masks_json(args.masks)
-    pairs = _episodes_for_masks(episodes, mask_map)
-    eval_eps = [ep for ep, _ in pairs]
+    _, pairs = _load_pairs(args)
     regime_filter = _CAL_FILTERS[args.filter]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
     for path in args.imputed:
-        imputations = imputers.load_external(path, eval_eps, mask_map)
+        imputations = imputers.load_external(path, pairs)
         method = imputations[0].method
-        triples = [
-            (ep.glucose, imp.values, mask_map[(ep.patient_id, ep.episode_id)])
-            for ep, imp in zip(eval_eps, imputations)
-        ]
+        triples = [(ep.glucose, imp.values, mask) for (ep, mask), imp in zip(pairs, imputations)]
         summary = metrics.pooled_calibration(triples, regime_filter)
         records.append(
             {
@@ -275,22 +256,18 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_route(args) -> int:
-    episodes = ingest_csv(args.input, args.partition_gap)
-    _, mask_map = masks.read_masks_json(args.masks)
-    pairs = _episodes_for_masks(episodes, mask_map)
-    external = {}
+    _, pairs = _load_pairs(args)
     if args.external is not None:
-        eval_eps = [ep for ep, _ in pairs]
-        for imp in imputers.load_external(args.external, eval_eps, mask_map):
-            external[imp.episode_ref] = imp
+        externals = imputers.load_external(args.external, pairs)
+    else:
+        externals = [None] * len(pairs)
     criteria = protocols.StabilityCriteria(gradient_threshold=args.gradient_threshold)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     imputations, decision_entries = [], []
-    for ep, mask in pairs:
-        key = (ep.patient_id, ep.episode_id)
+    for (ep, mask), external in zip(pairs, externals):
         imputation, decisions = router.adaptive_impute(
-            ep, mask, external.get(key), criteria, args.context_min
+            ep, mask, external, criteria, args.context_min
         )
         imputations.append(imputation)
         decision_entries.extend((ep.patient_id, ep.episode_id, d) for d in decisions)

@@ -29,38 +29,6 @@ INPUT_HEADER = ["t", "masked_glucose", "carbs", "bolus", "basal", "sin_t", "cos_
 _EPOCH = datetime(1970, 1, 1)
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One parsed CSV row: a timestamped reading with exogenous event values.
-
-    glucose is None for event-only rows. Range and sign guards are applied at
-    parse time so errors can carry the offending line number.
-    """
-
-    timestamp: float  # minutes
-    glucose: float | None
-    carbs: float
-    bolus: float
-    basal: float
-
-
-@dataclass(frozen=True)
-class TimeEncoding:
-    """Sinusoidal time-of-day features for one grid index."""
-
-    sin_component: float
-    cos_component: float
-
-
-@dataclass(frozen=True)
-class InputVector:
-    """Model input for one time step: masked glucose, exogenous channels, clock."""
-
-    masked_glucose: float
-    exog: tuple[float, float, float]
-    encoding: TimeEncoding
-
-
 @dataclass(frozen=True, eq=False)
 class Episode:
     """One contiguous, uniformly sampled multichannel trace.
@@ -169,7 +137,12 @@ def _parse_float(text: str, field: str, line_no: int, default: float = 0.0) -> f
         raise ParseError(f"line {line_no}: bad {field} value {text!r}") from exc
 
 
-def _parse_row(row, line_no: int) -> tuple[str, Sample]:
+def _parse_row(row, line_no: int) -> tuple[str, float, float | None, float, float, float]:
+    """One CSV row as (patient, minute, glucose, carbs, bolus, basal).
+
+    glucose is None for event-only rows. Range and sign guards are applied
+    here so errors can carry the offending line number.
+    """
     if len(row) != len(CGM_HEADER):
         raise ParseError(f"line {line_no}: expected {len(CGM_HEADER)} fields, got {len(row)}")
     patient = row[0].strip()
@@ -189,7 +162,7 @@ def _parse_row(row, line_no: int) -> tuple[str, Sample]:
     basal = _parse_float(row[5], "basal", line_no)
     if min(carbs, bolus, basal) < 0:
         raise ParseError(f"line {line_no}: negative exogenous value")
-    return patient, Sample(minute, glucose, carbs, bolus, basal)
+    return patient, minute, glucose, carbs, bolus, basal
 
 
 def ingest_csv(path, partition_gap_minutes: int) -> list[Episode]:
@@ -213,20 +186,20 @@ def ingest_csv(path, partition_gap_minutes: int) -> list[Episode]:
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            patient, sample = _parse_row(row, line_no)
-            if patient in last_raw and sample.timestamp < last_raw[patient]:
+            patient, minute, glucose, carbs, bolus, basal = _parse_row(row, line_no)
+            if patient in last_raw and minute < last_raw[patient]:
                 raise OrderingError(
                     f"line {line_no}: timestamp decreases within patient {patient!r}"
                 )
-            last_raw[patient] = sample.timestamp
-            grid = snap_to_grid(sample.timestamp)
+            last_raw[patient] = minute
+            grid = snap_to_grid(minute)
             cell = grids.setdefault(patient, {}).setdefault(grid, [math.nan, 0.0, 0.0, 0.0])
-            if sample.glucose is not None:
-                cell[0] = sample.glucose  # later reading wins on grid collisions
-            cell[1] += sample.carbs  # events accumulate rather than overwrite
-            cell[2] += sample.bolus
-            if sample.basal:
-                cell[3] = sample.basal
+            if glucose is not None:
+                cell[0] = glucose  # later reading wins on grid collisions
+            cell[1] += carbs  # events accumulate rather than overwrite
+            cell[2] += bolus
+            if basal:
+                cell[3] = basal
     episodes = []
     for patient in sorted(grids):
         cells = grids[patient]
@@ -301,50 +274,39 @@ def linear_fill(episode: Episode) -> Episode:
     )
 
 
-def time_encoding(t: int, start_time_of_day: int = 0) -> TimeEncoding:
-    """Sinusoidal embedding of the absolute time of day at grid index t."""
-    if t < 0:
+def time_encoding(t, start_time_of_day: int = 0) -> np.ndarray:
+    """Sinusoidal embedding of the absolute time of day at grid index (or indices) t.
+
+    Returns an array of shape ``np.shape(t) + (2,)`` holding (sin, cos).
+    """
+    t = np.asarray(t)
+    if np.any(t < 0):
         raise DimensionError("grid index must be >= 0")
     i = ((start_time_of_day // GRID_MINUTES + t) % SAMPLES_PER_DAY) / SAMPLES_PER_DAY
-    angle = 2.0 * math.pi * i
-    return TimeEncoding(math.sin(angle), math.cos(angle))
+    angle = 2.0 * np.pi * i
+    return np.stack([np.sin(angle), np.cos(angle)], axis=-1)
 
 
-def build_inputs(episode: Episode, mask) -> list[InputVector]:
-    """Per-step model inputs: masked glucose, exogenous channels, time encoding."""
+def build_inputs(episode: Episode, mask) -> np.ndarray:
+    """Per-step model inputs as a (T, 6) array in ``INPUT_HEADER[1:]`` order.
+
+    Columns: masked glucose (0 where hidden), carbs, bolus, basal, sin_t, cos_t.
+    """
     bits = np.asarray(mask.bits if hasattr(mask, "bits") else mask, dtype=np.uint8)
     if bits.shape != (episode.T,):
         raise DimensionError(f"mask length {bits.size} != episode length {episode.T}")
     if np.any((bits == 1) & (episode.observed == 0)):
         raise IntegrityError("mask retains an index with no ground-truth observation")
-    out = []
-    for t in range(episode.T):
-        g = float(episode.glucose[t]) if bits[t] else 0.0
-        out.append(
-            InputVector(
-                g,
-                tuple(float(v) for v in episode.exog[t]),
-                time_encoding(t, episode.start_time_of_day),
-            )
-        )
-    return out
+    masked = np.where(bits != 0, episode.glucose, 0.0)
+    clock = time_encoding(np.arange(episode.T), episode.start_time_of_day)
+    return np.column_stack([masked, episode.exog, clock])
 
 
 def export_inputs(episode: Episode, mask, path) -> None:
     """Serialize build_inputs for one episode to CSV."""
-    rows = build_inputs(episode, mask)
+    inputs = build_inputs(episode, mask)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(INPUT_HEADER)
-        for t, vec in enumerate(rows):
-            writer.writerow(
-                [
-                    t,
-                    repr(vec.masked_glucose),
-                    repr(vec.exog[0]),
-                    repr(vec.exog[1]),
-                    repr(vec.exog[2]),
-                    repr(vec.encoding.sin_component),
-                    repr(vec.encoding.cos_component),
-                ]
-            )
+        for t, row in enumerate(inputs.tolist()):
+            writer.writerow([t, *map(repr, row)])

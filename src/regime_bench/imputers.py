@@ -107,47 +107,67 @@ def write_imputations_csv(imputations: list[Imputation], path) -> None:
                 writer.writerow([patient_id, episode_id, t, repr(float(value)), imp.method])
 
 
-def _read_external_rows(path):
+def _read_external_rows(path, lengths: dict[tuple[str, int], int]):
+    """Parse an external file into {episode: {t: value}}.
+
+    lengths gives T for the episodes being scored; their rows must have t in
+    [0, T). Rows for other episodes are kept unchecked. A repeated
+    (episode, t) row is rejected everywhere.
+    """
     series: dict[tuple[str, int], dict[int, float]] = {}
     methods: set[str] = set()
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != EXTERNAL_HEADER:
-            raise ParseError(f"line 1: expected header {','.join(EXTERNAL_HEADER)}")
+            raise ParseError(f"{path}: line 1: expected header {','.join(EXTERNAL_HEADER)}")
+        last_key = None
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 5:
-                raise ParseError(f"line {line_no}: expected 5 fields")
+                raise ParseError(f"{path}: line {line_no}: expected 5 fields")
             try:
                 key = (row[0], int(row[1]))
                 t = int(row[2])
                 value = float(row[3])
             except ValueError as exc:
-                raise ParseError(f"line {line_no}: bad imputation row") from exc
+                raise ParseError(f"{path}: line {line_no}: bad imputation row") from exc
             methods.add(row[4].strip())
-            series.setdefault(key, {})[t] = value
+            if key != last_key:  # files list each episode in one block; cache its look-ups
+                last_key, rows, T = key, series.setdefault(key, {}), lengths.get(key)
+            if t in rows:
+                raise ParseError(
+                    f"{path}: line {line_no}: repeats t={t} for episode {key[0]}/{key[1]}"
+                )
+            if T is not None and not 0 <= t < T:
+                raise CoverageError(
+                    f"{path}: line {line_no}: t={t} outside [0, {T}) "
+                    f"for episode {key[0]}/{key[1]}"
+                )
+            rows[t] = value
     if len(methods) != 1:
-        raise ParseError(f"expected exactly one method per file, found {sorted(methods)}")
+        raise ParseError(f"{path}: expected exactly one method per file, found {sorted(methods)}")
     return methods.pop(), series
 
 
-def load_external(path, episodes: list[Episode], masks: dict) -> list[Imputation]:
+def load_external(path, pairs: list[tuple[Episode, Mask]]) -> list[Imputation]:
     """Load an external imputation file and validate it against ground truth.
 
-    Every episode must be fully covered, and values at retained indices must
-    echo the observed glucose within 1e-6.
+    pairs: [(Episode, Mask), ...], the episodes to score and their masks;
+    the result follows their order. Every episode must be fully covered,
+    and values at retained indices must echo the observed glucose within 1e-6.
     """
-    method, series = _read_external_rows(path)
+    lengths = {(ep.patient_id, ep.episode_id): ep.T for ep, _ in pairs}
+    method, series = _read_external_rows(path, lengths)
     out = []
-    for ep in episodes:
+    for ep, mask in pairs:
         key = (ep.patient_id, ep.episode_id)
         if key not in series:
             raise CoverageError(f"{path}: no rows for episode {key[0]}/{key[1]}")
         rows = series[key]
-        missing = [t for t in range(ep.T) if t not in rows]
-        if missing:
+        if len(rows) < ep.T:  # rows hold distinct in-range indices only
+            missing = [t for t in range(ep.T) if t not in rows]
             raise CoverageError(
                 f"{path}: episode {key[0]}/{key[1]} missing indices {missing[:5]}"
                 + ("..." if len(missing) > 5 else "")
@@ -155,9 +175,6 @@ def load_external(path, episodes: list[Episode], masks: dict) -> list[Imputation
         values = np.array([rows[t] for t in range(ep.T)])
         if not np.isfinite(values).all():
             raise IntegrityError(f"{path}: non-finite value in episode {key[0]}/{key[1]}")
-        mask = masks.get(key)
-        if mask is None:
-            raise CoverageError(f"no mask supplied for episode {key[0]}/{key[1]}")
         bits = _retained_bits(ep, mask)
         drift = np.abs(values[bits] - ep.glucose[bits])
         if drift.size and drift.max() > RETAINED_TOLERANCE:

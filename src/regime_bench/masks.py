@@ -188,6 +188,8 @@ def bits_to_runs(bits: np.ndarray) -> list[tuple[int, int]]:
 def runs_to_bits(T: int, runs) -> np.ndarray:
     bits = np.ones(T, dtype=np.uint8)
     for start, length in runs:
+        if length < 1:
+            raise DimensionError(f"run ({start}, {length}) has non-positive length")
         if start < 0 or start + length > T:
             raise DimensionError(f"run ({start}, {length}) exceeds mask length {T}")
         bits[start : start + length] = 0
@@ -220,18 +222,39 @@ def write_masks_json(entries, path, provenance: str = "empirical", condition: st
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _mask_record(rec) -> tuple[tuple[str, int], Mask]:
+    try:
+        key = (rec["patient_id"], rec["episode_id"])
+        T = rec["T"]
+        runs = [(g["start_index"], g["length_samples"]) for g in rec["gaps"]]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"missing or malformed field: {exc}") from exc
+    if any(type(v) is not int for v in [T, *(x for run in runs for x in run)]) or T < 1:
+        raise ParseError("T, start_index and length_samples must be integers, with T >= 1")
+    bits = runs_to_bits(T, runs)
+    return key, Mask(bits, seed=rec.get("seed", 0), provenance=rec.get("provenance", "empirical"))
+
+
 def read_masks_json(path):
-    """Load masks; returns (metadata, {(patient_id, episode_id): Mask})."""
+    """Load masks; returns (metadata, {(patient_id, episode_id): Mask}).
+
+    A malformed or duplicated record raises ParseError naming the file and
+    the record's position in the ``masks`` list.
+    """
     doc = json.loads(Path(path).read_text())
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ParseError(f"unsupported mask schema {doc.get('schema_version')!r}")
+    records = doc.get("masks")
+    if not isinstance(records, list):
+        raise ParseError(f"{path}: 'masks' must be a list of records")
     masks = {}
-    for rec in doc["masks"]:
-        runs = [(g["start_index"], g["length_samples"]) for g in rec["gaps"]]
-        masks[(rec["patient_id"], rec["episode_id"])] = Mask(
-            runs_to_bits(rec["T"], runs),
-            seed=rec.get("seed", 0),
-            provenance=rec.get("provenance", "empirical"),
-        )
+    for i, rec in enumerate(records):
+        try:
+            key, mask = _mask_record(rec)
+        except (ParseError, DimensionError) as exc:
+            raise ParseError(f"{path}: masks[{i}]: {exc}") from exc
+        if key in masks:
+            raise ParseError(f"{path}: masks[{i}]: duplicate record for {key[0]}/{key[1]}")
+        masks[key] = mask
     meta = {k: v for k, v in doc.items() if k != "masks"}
     return meta, masks

@@ -91,26 +91,30 @@ def dtw_distance(a, b) -> float:
     return float(acc[n, m])
 
 
-def segment_dtw(truth, imputed, mask: Mask) -> float:
-    """DTW restricted to each contiguous masked run, summed over runs."""
-    truth, imputed, _ = _masked_pairs(truth, imputed, mask)
-    runs = bits_to_runs(mask.bits)
+def _runs_dtw(truth: np.ndarray, imputed: np.ndarray, runs) -> float:
     total = 0.0
     for start, length in runs:
         total += dtw_distance(truth[start : start + length], imputed[start : start + length])
     return total
 
 
+def segment_dtw(truth, imputed, mask: Mask) -> float:
+    """DTW restricted to each contiguous masked run, summed over runs."""
+    truth, imputed, _ = _masked_pairs(truth, imputed, mask)
+    return _runs_dtw(truth, imputed, bits_to_runs(mask.bits))
+
+
 def score_episode(truth, imputed, mask: Mask) -> MetricsReport:
     rmse, bias, emp_se, mard = pointwise_metrics(truth, imputed, mask)
+    truth, imputed, hidden = _masked_pairs(truth, imputed, mask)
     runs = bits_to_runs(mask.bits)
     return MetricsReport(
         rmse=rmse,
         bias=bias,
         emp_se=emp_se,
         mard=mard,
-        dtw=segment_dtw(truth, imputed, mask),
-        n_points=int((mask.bits == 0).sum()),
+        dtw=_runs_dtw(truth, imputed, runs),
+        n_points=int(hidden.sum()),
         n_gaps=len(runs),
     )
 
@@ -140,21 +144,12 @@ def _apply_filter(values: np.ndarray, regime_filter) -> np.ndarray:
     return result.astype(bool)
 
 
-def calibration(truth, imputed, mask: Mask, regime_filter=None) -> CalibrationSummary:
-    """Conditional calibration over masked indices whose truth is in-regime."""
-    truth, imputed, hidden = _masked_pairs(truth, imputed, mask)
-    select = hidden.copy()
-    if regime_filter is not None:
-        select &= _apply_filter(truth, regime_filter)
-    if not select.any():
-        raise MetricDomainError("no masked indices fall in the requested regime")
-    return _summarize(truth[select], imputed[select])
-
-
 def pooled_calibration(triples, regime_filter=None) -> CalibrationSummary:
-    """Calibration over masked values pooled across (truth, imputed, mask) triples.
+    """Conditional calibration over masked indices whose truth is in-regime.
 
-    Triples whose mask hides nothing contribute nothing.
+    Masked values are pooled across (truth, imputed, mask) triples; pass one
+    triple to summarize a single series. Triples whose mask hides nothing
+    contribute nothing.
     """
     ys, yhs = [], []
     for truth, imputed, mask in triples:

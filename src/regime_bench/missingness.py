@@ -115,9 +115,6 @@ class MissingnessModel:
         if any(p < 0.0 or p > 1.0 for p in self.onset_prob):
             raise EstimationError("onset probabilities must lie in [0, 1]")
 
-    def regime(self, hour: int) -> str:
-        return "night" if hour in NIGHT_HOURS else "day"
-
     def regime_model(self, regime: str) -> RegimeModel:
         return self.night if regime == "night" else self.day
 
@@ -258,20 +255,32 @@ def fit_mixture(gaps: list[GapEvent], regime: str, min_gaps: int = 30) -> Durati
     return fit_duration_density(BIN_CENTERS, duration_histogram(durations))
 
 
-def fit_model(episodes: list[Episode], min_gaps: int = 30) -> MissingnessModel:
-    """Full estimation pipeline: valid days -> gaps -> onsets + per-regime models."""
+def fit_onsets(episodes: list[Episode]) -> tuple[list[GapEvent], np.ndarray]:
+    """Valid days -> gaps -> hourly onset probabilities; returns (gaps, onset)."""
     valid = valid_days(episodes)
     gaps = extract_gaps(episodes, valid)
-    onset = onset_probabilities(gaps, valid)
-    regimes = {}
-    for regime in ("day", "night"):
-        regimes[regime] = RegimeModel(
+    return gaps, onset_probabilities(gaps, valid)
+
+
+def fit_regimes(gaps: list[GapEvent], onset, min_gaps: int = 30) -> MissingnessModel:
+    """Per-regime short-dropout probability and duration mixture, joined with the onsets."""
+    regimes = {
+        regime: RegimeModel(
             pi_short=short_gap_probability(gaps, regime),
             mixture=fit_mixture(gaps, regime, min_gaps=min_gaps),
         )
+        for regime in ("day", "night")
+    }
     return MissingnessModel(tuple(float(p) for p in onset), regimes["day"], regimes["night"])
 
 
+def fit_model(episodes: list[Episode], min_gaps: int = 30) -> MissingnessModel:
+    """Full estimation pipeline: valid days -> gaps -> onsets + per-regime models."""
+    gaps, onset = fit_onsets(episodes)
+    return fit_regimes(gaps, onset, min_gaps)
+
+
+_MODEL_FIELDS = ("onset_prob", "day", "night")
 _REGIME_FIELDS = ("pi_short", "A", "k", "B", "mu", "sigma", "gamma", "w_exp", "w_gauss", "w_unif")
 
 
@@ -324,6 +333,9 @@ def model_to_dict(model: MissingnessModel) -> dict:
 def model_from_dict(data: dict) -> MissingnessModel:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise EstimationError(f"unsupported model schema {data.get('schema_version')!r}")
+    missing = [f for f in _MODEL_FIELDS if f not in data]
+    if missing:
+        raise EstimationError(f"model is missing fields: {missing}")
     return MissingnessModel(
         onset_prob=tuple(float(p) for p in data["onset_prob"]),
         day=_regime_from_dict(data["day"]),
@@ -337,4 +349,7 @@ def save_model(model: MissingnessModel, path) -> None:
 
 
 def load_model(path) -> MissingnessModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    try:
+        return model_from_dict(json.loads(Path(path).read_text()))
+    except EstimationError as exc:
+        raise EstimationError(f"{path}: {exc}") from exc

@@ -200,6 +200,39 @@ def pipeline(tmp_path_factory, protocol_fixture):
             "windows": stress_dir / "windows.json", "imputed": imputed}
 
 
+def _unknown_episode(rec):
+    rec["patient_id"] = "ghost"
+    return "mask references unknown episode ghost/{episode_id}"
+
+
+def _length_mismatch(rec):
+    rec["T"] += 1
+    return "mask length {T} != episode length {T_truth} for {patient_id}/{episode_id}"
+
+
+class TestMaskEpisodePairing:
+    """impute, evaluate, calibrate and route share one truth+masks loader."""
+
+    @pytest.mark.parametrize("edit", [_unknown_episode, _length_mismatch], ids=["unknown", "length"])
+    @pytest.mark.parametrize("command", ["impute", "evaluate", "calibrate", "route"])
+    def test_mismatch_fails_with_coverage_error(self, pipeline, tmp_path, capsys, command, edit):
+        doc = json.loads(pipeline["masks"].read_text())
+        rec = doc["masks"][0]
+        T_truth = rec["T"]
+        expected = edit(rec).format(T_truth=T_truth, **rec)
+        bad = tmp_path / "masks.json"
+        bad.write_text(json.dumps(doc))
+        extra = {
+            "impute": ["--method", "lerp", "--out", tmp_path / "out.csv"],
+            "evaluate": ["--imputed", pipeline["imputed"]["lerp"], "--out", tmp_path / "out"],
+            "calibrate": ["--imputed", pipeline["imputed"]["lerp"], "--out", tmp_path / "out"],
+            "route": ["--out", tmp_path / "out"],
+        }[command]
+        code = run(command, "--input", pipeline["cgm"], "--masks", bad, *extra)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+
 class TestImputeCommand:
     def test_unknown_method_usage_error(self, pipeline):
         with pytest.raises(SystemExit) as exc:

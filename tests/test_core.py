@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import make_episode
 from regime_bench.core import (
+    INPUT_HEADER,
     Episode,
     build_inputs,
     episodes_equal,
@@ -199,53 +202,73 @@ class TestLinearFill:
 
 class TestTimeEncoding:
     def test_midnight(self):
-        enc = time_encoding(0)
-        assert enc.sin_component == pytest.approx(0.0, abs=1e-12)
-        assert enc.cos_component == pytest.approx(1.0, abs=1e-12)
+        sin_t, cos_t = time_encoding(0)
+        assert sin_t == pytest.approx(0.0, abs=1e-12)
+        assert cos_t == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_cycle(self):
-        enc = time_encoding(72)
-        assert enc.sin_component == pytest.approx(1.0, abs=1e-12)
-        assert enc.cos_component == pytest.approx(0.0, abs=1e-12)
+        sin_t, cos_t = time_encoding(72)
+        assert sin_t == pytest.approx(1.0, abs=1e-12)
+        assert cos_t == pytest.approx(0.0, abs=1e-12)
 
     def test_half_cycle(self):
-        enc = time_encoding(144)
-        assert enc.sin_component == pytest.approx(0.0, abs=1e-12)
-        assert enc.cos_component == pytest.approx(-1.0, abs=1e-12)
+        sin_t, cos_t = time_encoding(144)
+        assert sin_t == pytest.approx(0.0, abs=1e-12)
+        assert cos_t == pytest.approx(-1.0, abs=1e-12)
 
     def test_start_time_offset(self):
         # episode starting at 06:00, t=0 should encode quarter cycle
-        enc = time_encoding(0, start_time_of_day=360)
-        assert enc.sin_component == pytest.approx(1.0, abs=1e-12)
+        sin_t, _ = time_encoding(0, start_time_of_day=360)
+        assert sin_t == pytest.approx(1.0, abs=1e-12)
 
     @given(t=st.integers(min_value=0, max_value=10_000), start=st.integers(min_value=0, max_value=287))
     @settings(max_examples=200, deadline=None)
     def test_period_288_and_unit_norm(self, t, start):
         a = time_encoding(t, start * 5)
         b = time_encoding(t + 288, start * 5)
-        assert a.sin_component == pytest.approx(b.sin_component, abs=1e-12)
-        assert a.cos_component == pytest.approx(b.cos_component, abs=1e-12)
-        assert a.sin_component**2 + a.cos_component**2 == pytest.approx(1.0, abs=1e-12)
+        assert a[0] == pytest.approx(b[0], abs=1e-12)
+        assert a[1] == pytest.approx(b[1], abs=1e-12)
+        assert a[0] ** 2 + a[1] ** 2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_array_matches_libm_on_every_grid_index(self):
+        # numpy's sin/cos may differ from libm in the last ulp on some hosts
+        enc = time_encoding(np.arange(288))
+        assert enc.shape == (288, 2)
+        for i in range(288):
+            angle = 2.0 * math.pi * (i / 288)
+            assert abs(enc[i, 0] - math.sin(angle)) <= 1e-12
+            assert abs(enc[i, 1] - math.cos(angle)) <= 1e-12
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(DimensionError):
+            time_encoding(np.array([0, -1]))
 
 
 class TestBuildInputs:
     def test_direct_substitution(self):
         ep = make_episode([120.0], basal=0.8)
-        (vec,) = build_inputs(ep, Mask(np.array([1], dtype=np.uint8)))
-        assert vec.masked_glucose == 120.0
-        assert vec.exog == (0.0, 0.0, 0.8)
-        assert vec.encoding.cos_component == pytest.approx(1.0)
+        inputs = build_inputs(ep, Mask(np.array([1], dtype=np.uint8)))
+        assert inputs.shape == (1, len(INPUT_HEADER) - 1)
+        masked_glucose, carbs, bolus, basal, _, cos_t = inputs[0]
+        assert masked_glucose == 120.0
+        assert (carbs, bolus, basal) == (0.0, 0.0, 0.8)
+        assert cos_t == pytest.approx(1.0)
 
     def test_masked_glucose_zeroed(self):
         ep = make_episode([120.0, 130.0])
-        vecs = build_inputs(ep, Mask(np.array([0, 1], dtype=np.uint8)))
-        assert vecs[0].masked_glucose == 0.0
-        assert vecs[1].masked_glucose == 130.0
+        inputs = build_inputs(ep, Mask(np.array([0, 1], dtype=np.uint8)))
+        assert inputs[0, 0] == 0.0
+        assert inputs[1, 0] == 130.0
 
     def test_all_ones_mask_identity(self):
         ep = make_episode([100.0, 110.0, 120.0])
-        vecs = build_inputs(ep, Mask(np.ones(3, dtype=np.uint8)))
-        assert [v.masked_glucose for v in vecs] == [100.0, 110.0, 120.0]
+        inputs = build_inputs(ep, Mask(np.ones(3, dtype=np.uint8)))
+        assert inputs[:, 0].tolist() == [100.0, 110.0, 120.0]
+
+    def test_clock_columns_follow_episode_start(self):
+        ep = make_episode([100.0, 110.0, 120.0], start_minute=1430)
+        inputs = build_inputs(ep, Mask(np.ones(3, dtype=np.uint8)))
+        assert np.array_equal(inputs[:, 4:], time_encoding(np.arange(3), 1430))
 
     def test_length_mismatch(self):
         ep = make_episode([100.0, 110.0])

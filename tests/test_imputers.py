@@ -118,12 +118,15 @@ class TestExternalFile:
         }
         return eps, masks
 
+    def pairs(self, eps, masks):
+        return [(ep, masks[(ep.patient_id, ep.episode_id)]) for ep in eps]
+
     def test_round_trip_accepted(self, tmp_path):
         eps, masks = self.setup_corpus()
         outputs = [imp.impute_lerp(ep, masks[(ep.patient_id, ep.episode_id)]) for ep in eps]
         path = tmp_path / "imputed.csv"
         imp.write_imputations_csv(outputs, path)
-        loaded = imp.load_external(path, eps, masks)
+        loaded = imp.load_external(path, self.pairs(eps, masks))
         for orig, back in zip(outputs, loaded):
             assert np.array_equal(orig.values, back.values)
             assert back.method == "lerp"
@@ -136,7 +139,7 @@ class TestExternalFile:
         text = path.read_text().replace("p1,0,0,100.0", "p1,0,0,101.0")
         path.write_text(text)
         with pytest.raises(IntegrityError, match="t=0"):
-            imp.load_external(path, eps, masks)
+            imp.load_external(path, self.pairs(eps, masks))
 
     def test_missing_episode_rejected(self, tmp_path):
         eps, masks = self.setup_corpus()
@@ -144,7 +147,7 @@ class TestExternalFile:
         path = tmp_path / "imputed.csv"
         imp.write_imputations_csv(outputs, path)
         with pytest.raises(CoverageError, match="p1/1"):
-            imp.load_external(path, eps, masks)
+            imp.load_external(path, self.pairs(eps, masks))
 
     def test_incomplete_indices_rejected(self, tmp_path):
         eps, masks = self.setup_corpus()
@@ -154,7 +157,7 @@ class TestExternalFile:
         lines = path.read_text().strip().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop the final row
         with pytest.raises(CoverageError, match="missing indices"):
-            imp.load_external(path, eps, masks)
+            imp.load_external(path, self.pairs(eps, masks))
 
     def test_mixed_methods_rejected(self, tmp_path):
         path = tmp_path / "imputed.csv"
@@ -165,7 +168,7 @@ class TestExternalFile:
         )
         eps, masks = self.setup_corpus()
         with pytest.raises(ParseError, match="one method"):
-            imp.load_external(path, eps, masks)
+            imp.load_external(path, self.pairs(eps, masks))
 
     def test_tolerance_on_retained_values(self, tmp_path):
         eps, masks = self.setup_corpus()
@@ -174,5 +177,35 @@ class TestExternalFile:
         imp.write_imputations_csv(outputs, path)
         text = path.read_text().replace("p1,0,0,100.0", "p1,0,0,100.0000001")
         path.write_text(text)
-        loaded = imp.load_external(path, eps, masks)  # within 1e-6, accepted
+        loaded = imp.load_external(path, self.pairs(eps, masks))  # within 1e-6, accepted
         assert loaded[0].values[0] == pytest.approx(100.0, abs=1e-6)
+
+    def write_lerp(self, tmp_path):
+        eps, masks = self.setup_corpus()
+        outputs = [imp.impute_lerp(ep, masks[(ep.patient_id, ep.episode_id)]) for ep in eps]
+        path = tmp_path / "imputed.csv"
+        imp.write_imputations_csv(outputs, path)
+        return path, self.pairs(eps, masks)
+
+    def test_repeated_row_rejected(self, tmp_path):
+        # a second row for a masked index must not silently replace the first
+        path, pairs = self.write_lerp(tmp_path)
+        with path.open("a") as fh:
+            fh.write("p1,0,1,500.0,lerp\n")
+        with pytest.raises(ParseError, match=r"line 9: repeats t=1 for episode p1/0"):
+            imp.load_external(path, pairs)
+
+    @pytest.mark.parametrize("t", [-1, 4])
+    def test_index_outside_episode_rejected(self, tmp_path, t):
+        path, pairs = self.write_lerp(tmp_path)
+        with path.open("a") as fh:
+            fh.write(f"p1,0,{t},100.0,lerp\n")
+        with pytest.raises(CoverageError, match=rf"imputed.csv: line 9: t={t} outside \[0, 4\)"):
+            imp.load_external(path, pairs)
+
+    def test_rows_for_unscored_episode_accepted(self, tmp_path):
+        path, pairs = self.write_lerp(tmp_path)
+        with path.open("a") as fh:
+            fh.write("p2,7,999,100.0,lerp\n")
+        loaded = imp.load_external(path, pairs)
+        assert [i.episode_ref for i in loaded] == [("p1", 0), ("p1", 1)]

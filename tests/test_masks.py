@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import make_episode
 from regime_bench import masks as mk
 from regime_bench import missingness as mz
-from regime_bench.errors import DimensionError, IntegrityError
+from regime_bench.errors import DimensionError, IntegrityError, ParseError
 from regime_bench.masks import Mask
 
 
@@ -177,6 +179,34 @@ class TestMaskFile:
         mk.write_masks_json(entries, a)
         mk.write_masks_json(entries, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestMalformedMaskFile:
+    """Each broken record fails with a ParseError naming the file and the record."""
+
+    def write(self, tmp_path, edit):
+        bits = np.array([1, 0, 0, 1, 1, 0], dtype=np.uint8)
+        path = tmp_path / "masks.json"
+        mk.write_masks_json([("p1", 0, Mask(bits)), ("p1", 1, Mask(bits))], path)
+        doc = json.loads(path.read_text())
+        edit(doc["masks"])
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_missing_length(self, tmp_path):
+        path = self.write(tmp_path, lambda recs: recs[1].pop("T"))
+        with pytest.raises(ParseError, match=r"masks\.json: masks\[1\]: missing or malformed field: 'T'"):
+            mk.read_masks_json(path)
+
+    def test_negative_run_length(self, tmp_path):
+        path = self.write(tmp_path, lambda recs: recs[0]["gaps"][0].update(length_samples=-3))
+        with pytest.raises(ParseError, match=r"masks\.json: masks\[0\]: run \(1, -3\)"):
+            mk.read_masks_json(path)
+
+    def test_duplicate_episode(self, tmp_path):
+        path = self.write(tmp_path, lambda recs: recs[1].update(episode_id=0))
+        with pytest.raises(ParseError, match=r"masks\.json: masks\[1\]: duplicate record for p1/0"):
+            mk.read_masks_json(path)
 
 
 class TestDeriveSeed:

@@ -153,7 +153,7 @@ class TestScoreEpisode:
 class TestCalibration:
     def test_identity_zero_delta(self):
         truth = np.linspace(80, 180, 40)
-        summary = mt.calibration(truth, truth, Mask(np.zeros(40, dtype=np.uint8)))
+        summary = mt.pooled_calibration([(truth, truth, Mask(np.zeros(40, dtype=np.uint8)))])
         assert summary.delta == 0.0
         assert np.array_equal(summary.truth_hist, summary.imputed_hist)
         assert summary.truth_hist.sum() == summary.n_points == 40
@@ -166,7 +166,7 @@ class TestCalibration:
         bits = np.zeros(30, dtype=np.uint8)
         bits[[0, -1]] = 1
         imputed[bits == 1] = truth[bits == 1]
-        summary = mt.calibration(truth, imputed, Mask(bits))
+        summary = mt.pooled_calibration([(truth, imputed, Mask(bits))])
         assert summary.delta < 0
 
     def test_chord_overestimates_dip(self):
@@ -176,14 +176,14 @@ class TestCalibration:
         bits = np.zeros(30, dtype=np.uint8)
         bits[[0, -1]] = 1
         imputed[bits == 1] = truth[bits == 1]
-        summary = mt.calibration(truth, imputed, Mask(bits))
+        summary = mt.pooled_calibration([(truth, imputed, Mask(bits))])
         assert summary.delta > 0
 
     def test_regime_filter_restricts(self):
         truth = np.array([60.0, 65.0, 100.0, 120.0])
         imputed = np.array([80.0, 80.0, 100.0, 120.0])
         bits = Mask(np.zeros(4, dtype=np.uint8))
-        hypo = mt.calibration(truth, imputed, bits, regime_filter=lambda y: y < 70.0)
+        hypo = mt.pooled_calibration([(truth, imputed, bits)], regime_filter=lambda y: y < 70.0)
         assert hypo.n_points == 2
         assert hypo.truth_mean == 62.5
         assert hypo.delta == pytest.approx(17.5)
@@ -191,13 +191,13 @@ class TestCalibration:
     def test_empty_regime_rejected(self):
         truth = np.array([100.0])
         with pytest.raises(MetricDomainError):
-            mt.calibration(truth, truth, mask_of([0]), regime_filter=lambda y: y < 70.0)
+            mt.pooled_calibration([(truth, truth, mask_of([0]))], regime_filter=lambda y: y < 70.0)
 
     def test_delta_identity(self):
         rng = np.random.default_rng(2)
         truth = rng.uniform(80, 200, 100)
         imputed = truth + rng.normal(0, 5, 100)
-        summary = mt.calibration(truth, imputed, Mask(np.zeros(100, dtype=np.uint8)))
+        summary = mt.pooled_calibration([(truth, imputed, Mask(np.zeros(100, dtype=np.uint8)))])
         assert summary.delta == summary.imputed_mean - summary.truth_mean
 
     def test_pooled_matches_concatenation(self):
@@ -211,8 +211,8 @@ class TestCalibration:
             all_truth.append(truth)
             all_imp.append(imputed)
         pooled = mt.pooled_calibration(triples)
-        direct = mt.calibration(
-            np.concatenate(all_truth), np.concatenate(all_imp), Mask(np.zeros(150, dtype=np.uint8))
+        direct = mt.pooled_calibration(
+            [(np.concatenate(all_truth), np.concatenate(all_imp), Mask(np.zeros(150, dtype=np.uint8)))]
         )
         assert pooled.truth_mean == pytest.approx(direct.truth_mean)
         assert pooled.delta == pytest.approx(direct.delta)

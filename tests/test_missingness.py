@@ -220,6 +220,14 @@ class TestModelSerialization:
         with pytest.raises(EstimationError, match="missing fields"):
             mz.model_from_dict(doc)
 
+    def test_missing_onsets_name_the_file(self, fitted_model, tmp_path):
+        doc = mz.model_to_dict(fitted_model)
+        del doc["onset_prob"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(EstimationError, match=r"model\.json: model is missing fields: \['onset_prob'\]"):
+            mz.load_model(path)
+
     def test_onset_probabilities_validated(self):
         with pytest.raises(EstimationError):
             mz.MissingnessModel(
