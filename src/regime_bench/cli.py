@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from pathlib import Path
 
-from . import imputers, masks, metrics, missingness, protocols, router, synth
+from . import formats, imputers, masks, metrics, missingness, protocols, router, synth
 from .core import export_csv, ingest_csv
 from .errors import CoverageError, EstimationError, FitError, RegimeBenchError
 
@@ -193,7 +191,7 @@ def cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
     table_path = out_dir / "table.txt"
-    report_path.write_text(json.dumps({"schema_version": 1, "groups": rows}, indent=2) + "\n")
+    formats.write_json(report_path, {"groups": rows})
     table = metrics.render_table(rows)
     table_path.write_text(table)
     print(table, end="")
@@ -211,6 +209,8 @@ _CAL_FILTERS = {
 
 def cmd_calibrate(args) -> int:
     _, pairs = _load_pairs(args)
+    if not pairs:
+        raise CoverageError(f"{args.masks}: no mask records to calibrate")
     regime_filter = _CAL_FILTERS[args.filter]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -233,24 +233,16 @@ def cmd_calibrate(args) -> int:
             }
         )
         hist_path = out_dir / f"calibration_{method}.csv"
-        with hist_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_left", "bin_right", "truth_count", "imputed_count"])
-            edges = metrics.HIST_EDGES
-            for i in range(len(edges) - 1):
-                writer.writerow(
-                    [
-                        f"{edges[i]:g}",
-                        f"{edges[i + 1]:g}",
-                        int(summary.truth_hist[i]),
-                        int(summary.imputed_hist[i]),
-                    ]
-                )
+        edges = metrics.HIST_EDGES
+        bins = zip(edges[:-1], edges[1:], summary.truth_hist, summary.imputed_hist)
+        formats.write_csv(
+            hist_path,
+            ["bin_left", "bin_right", "truth_count", "imputed_count"],
+            ([f"{lo:g}", f"{hi:g}", int(n_t), int(n_i)] for lo, hi, n_t, n_i in bins),
+        )
         print(hist_path)
     summary_path = out_dir / "calibration.json"
-    summary_path.write_text(
-        json.dumps({"schema_version": 1, "summaries": records}, indent=2) + "\n"
-    )
+    formats.write_json(summary_path, {"summaries": records})
     print(summary_path)
     return 0
 
@@ -281,7 +273,7 @@ def cmd_route(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = json.loads(Path(args.input).read_text())
+    doc = formats.read_json(args.input, records="groups")
     table = metrics.render_table(doc["groups"])
     Path(args.out).write_text(table)
     print(table, end="")
@@ -401,7 +393,7 @@ def main(argv=None) -> int:
     try:
         _worker_cap()
         return args.func(args)
-    except (RegimeBenchError, OSError, json.JSONDecodeError) as exc:
+    except (RegimeBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

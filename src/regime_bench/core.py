@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from pathlib import Path
 
 import numpy as np
 
+from . import formats
 from .errors import (
     DimensionError,
     EmptyEpisodeError,
@@ -174,32 +173,27 @@ def ingest_csv(path, partition_gap_minutes: int) -> list[Episode]:
     """
     if partition_gap_minutes <= 0:
         raise ParseError("partition_gap_minutes must be positive")
-    path = Path(path)
     # per patient: grid minute -> [glucose, carbs, bolus, basal]
     grids: dict[str, dict[int, list[float]]] = {}
     last_raw: dict[str, float] = {}
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != CGM_HEADER:
-            raise ParseError(f"line 1: expected header {','.join(CGM_HEADER)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
+    for line_no, row in formats.read_csv(path, CGM_HEADER):
+        try:
             patient, minute, glucose, carbs, bolus, basal = _parse_row(row, line_no)
-            if patient in last_raw and minute < last_raw[patient]:
-                raise OrderingError(
-                    f"line {line_no}: timestamp decreases within patient {patient!r}"
-                )
-            last_raw[patient] = minute
-            grid = snap_to_grid(minute)
-            cell = grids.setdefault(patient, {}).setdefault(grid, [math.nan, 0.0, 0.0, 0.0])
-            if glucose is not None:
-                cell[0] = glucose  # later reading wins on grid collisions
-            cell[1] += carbs  # events accumulate rather than overwrite
-            cell[2] += bolus
-            if basal:
-                cell[3] = basal
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+        if patient in last_raw and minute < last_raw[patient]:
+            raise OrderingError(
+                f"{path}: line {line_no}: timestamp decreases within patient {patient!r}"
+            )
+        last_raw[patient] = minute
+        grid = snap_to_grid(minute)
+        cell = grids.setdefault(patient, {}).setdefault(grid, [math.nan, 0.0, 0.0, 0.0])
+        if glucose is not None:
+            cell[0] = glucose  # later reading wins on grid collisions
+        cell[1] += carbs  # events accumulate rather than overwrite
+        cell[2] += bolus
+        if basal:
+            cell[3] = basal
     episodes = []
     for patient in sorted(grids):
         cells = grids[patient]
@@ -232,23 +226,21 @@ def ingest_csv(path, partition_gap_minutes: int) -> list[Episode]:
 
 def export_csv(episodes: list[Episode], path) -> None:
     """Write episodes back to the standard CGM CSV (integer-minute timestamps)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CGM_HEADER)
-        for ep in sorted(episodes, key=lambda e: (e.patient_id, e.episode_id)):
-            for t in range(ep.T):
-                g = ep.glucose[t]
-                writer.writerow(
-                    [
-                        ep.patient_id,
-                        ep.minute_at(t),
-                        "" if math.isnan(g) else repr(float(g)),
-                        repr(float(ep.exog[t, 0])),
-                        repr(float(ep.exog[t, 1])),
-                        repr(float(ep.exog[t, 2])),
-                    ]
-                )
+    formats.write_csv(path, CGM_HEADER, _cgm_rows(episodes))
+
+
+def _cgm_rows(episodes: list[Episode]):
+    for ep in sorted(episodes, key=lambda e: (e.patient_id, e.episode_id)):
+        for t in range(ep.T):
+            g = ep.glucose[t]
+            yield [
+                ep.patient_id,
+                ep.minute_at(t),
+                "" if math.isnan(g) else repr(float(g)),
+                repr(float(ep.exog[t, 0])),
+                repr(float(ep.exog[t, 1])),
+                repr(float(ep.exog[t, 2])),
+            ]
 
 
 def linear_fill(episode: Episode) -> Episode:
@@ -305,8 +297,6 @@ def build_inputs(episode: Episode, mask) -> np.ndarray:
 def export_inputs(episode: Episode, mask, path) -> None:
     """Serialize build_inputs for one episode to CSV."""
     inputs = build_inputs(episode, mask)
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(INPUT_HEADER)
-        for t, row in enumerate(inputs.tolist()):
-            writer.writerow([t, *map(repr, row)])
+    formats.write_csv(
+        path, INPUT_HEADER, ([t, *map(repr, row)] for t, row in enumerate(inputs.tolist()))
+    )

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import formats
 from .core import Episode
 from .errors import (
     CoverageError,
@@ -98,13 +97,12 @@ BUILTIN_IMPUTERS = {
 
 
 def write_imputations_csv(imputations: list[Imputation], path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EXTERNAL_HEADER)
-        for imp in sorted(imputations, key=lambda i: i.episode_ref):
-            patient_id, episode_id = imp.episode_ref
-            for t, value in enumerate(imp.values):
-                writer.writerow([patient_id, episode_id, t, repr(float(value)), imp.method])
+    rows = (
+        [*imp.episode_ref, t, repr(float(value)), imp.method]
+        for imp in sorted(imputations, key=lambda i: i.episode_ref)
+        for t, value in enumerate(imp.values)
+    )
+    formats.write_csv(path, EXTERNAL_HEADER, rows)
 
 
 def _read_external_rows(path, lengths: dict[tuple[str, int], int]):
@@ -116,36 +114,29 @@ def _read_external_rows(path, lengths: dict[tuple[str, int], int]):
     """
     series: dict[tuple[str, int], dict[int, float]] = {}
     methods: set[str] = set()
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != EXTERNAL_HEADER:
-            raise ParseError(f"{path}: line 1: expected header {','.join(EXTERNAL_HEADER)}")
-        last_key = None
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ParseError(f"{path}: line {line_no}: expected 5 fields")
-            try:
-                key = (row[0], int(row[1]))
-                t = int(row[2])
-                value = float(row[3])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {line_no}: bad imputation row") from exc
-            methods.add(row[4].strip())
-            if key != last_key:  # files list each episode in one block; cache its look-ups
-                last_key, rows, T = key, series.setdefault(key, {}), lengths.get(key)
-            if t in rows:
-                raise ParseError(
-                    f"{path}: line {line_no}: repeats t={t} for episode {key[0]}/{key[1]}"
-                )
-            if T is not None and not 0 <= t < T:
-                raise CoverageError(
-                    f"{path}: line {line_no}: t={t} outside [0, {T}) "
-                    f"for episode {key[0]}/{key[1]}"
-                )
-            rows[t] = value
+    last_key = None
+    for line_no, row in formats.read_csv(path, EXTERNAL_HEADER):
+        if len(row) != 5:
+            raise ParseError(f"{path}: line {line_no}: expected 5 fields")
+        try:
+            key = (row[0], int(row[1]))
+            t = int(row[2])
+            value = float(row[3])
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {line_no}: bad imputation row") from exc
+        methods.add(row[4].strip())
+        if key != last_key:  # files list each episode in one block; cache its look-ups
+            last_key, rows, T = key, series.setdefault(key, {}), lengths.get(key)
+        if t in rows:
+            raise ParseError(
+                f"{path}: line {line_no}: repeats t={t} for episode {key[0]}/{key[1]}"
+            )
+        if T is not None and not 0 <= t < T:
+            raise CoverageError(
+                f"{path}: line {line_no}: t={t} outside [0, {T}) "
+                f"for episode {key[0]}/{key[1]}"
+            )
+        rows[t] = value
     if len(methods) != 1:
         raise ParseError(f"{path}: expected exactly one method per file, found {sorted(methods)}")
     return methods.pop(), series

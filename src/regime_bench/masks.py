@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from . import formats
 from .core import Episode
 from .errors import DimensionError, IntegrityError, ParseError
 from .missingness import (
@@ -22,7 +21,6 @@ from .missingness import (
 )
 
 PROVENANCES = ("empirical", "protocol_A", "protocol_B", "protocol_C")
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -216,10 +214,10 @@ def write_masks_json(entries, path, provenance: str = "empirical", condition: st
                 ],
             }
         )
-    doc = {"schema_version": SCHEMA_VERSION, "provenance": provenance, "masks": records}
+    doc = {"provenance": provenance, "masks": records}
     if condition is not None:
         doc["condition"] = condition
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    formats.write_json(path, doc)
 
 
 def _mask_record(rec) -> tuple[tuple[str, int], Mask]:
@@ -241,14 +239,9 @@ def read_masks_json(path):
     A malformed or duplicated record raises ParseError naming the file and
     the record's position in the ``masks`` list.
     """
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ParseError(f"unsupported mask schema {doc.get('schema_version')!r}")
-    records = doc.get("masks")
-    if not isinstance(records, list):
-        raise ParseError(f"{path}: 'masks' must be a list of records")
+    doc = formats.read_json(path, records="masks")
     masks = {}
-    for i, rec in enumerate(records):
+    for i, rec in enumerate(doc["masks"]):
         try:
             key, mask = _mask_record(rec)
         except (ParseError, DimensionError) as exc:

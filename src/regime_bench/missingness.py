@@ -8,15 +8,14 @@ Gaussian + uniform floor) for sustained gaps of 10-240 minutes.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.optimize import least_squares
 from scipy.special import ndtr
 
+from . import formats
 from .core import Episode, SAMPLES_PER_DAY
 from .errors import ConvergenceError, EstimationError, FitError
 
@@ -27,8 +26,6 @@ NIGHT_HOURS = range(0, 6)
 
 # 5-min histogram bin centers spanning the sustained-gap support
 BIN_CENTERS = np.arange(DELTA_MIN_SUSTAINED, DELTA_MAX + 1, 5, dtype=float)
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -107,7 +104,6 @@ class MissingnessModel:
     onset_prob: tuple[float, ...]
     day: RegimeModel
     night: RegimeModel
-    delta_max: int = DELTA_MAX
 
     def __post_init__(self):
         if len(self.onset_prob) != 24:
@@ -281,23 +277,12 @@ def fit_model(episodes: list[Episode], min_gaps: int = 30) -> MissingnessModel:
 
 
 _MODEL_FIELDS = ("onset_prob", "day", "night")
-_REGIME_FIELDS = ("pi_short", "A", "k", "B", "mu", "sigma", "gamma", "w_exp", "w_gauss", "w_unif")
+_MIXTURE_FIELDS = tuple(f.name for f in fields(DurationMixture))
+_REGIME_FIELDS = ("pi_short", *_MIXTURE_FIELDS)
 
 
 def _regime_to_dict(rm: RegimeModel) -> dict:
-    mix = rm.mixture
-    return {
-        "pi_short": rm.pi_short,
-        "A": mix.A,
-        "k": mix.k,
-        "B": mix.B,
-        "mu": mix.mu,
-        "sigma": mix.sigma,
-        "gamma": mix.gamma,
-        "w_exp": mix.w_exp,
-        "w_gauss": mix.w_gauss,
-        "w_unif": mix.w_unif,
-    }
+    return {"pi_short": rm.pi_short, **asdict(rm.mixture)}
 
 
 def _regime_from_dict(d: dict) -> RegimeModel:
@@ -306,24 +291,14 @@ def _regime_from_dict(d: dict) -> RegimeModel:
         raise EstimationError(f"regime record is missing fields: {missing}")
     return RegimeModel(
         pi_short=float(d["pi_short"]),
-        mixture=DurationMixture(
-            A=float(d["A"]),
-            k=float(d["k"]),
-            B=float(d["B"]),
-            mu=float(d["mu"]),
-            sigma=float(d["sigma"]),
-            gamma=float(d["gamma"]),
-            w_exp=float(d["w_exp"]),
-            w_gauss=float(d["w_gauss"]),
-            w_unif=float(d["w_unif"]),
-        ),
+        mixture=DurationMixture(**{name: float(d[name]) for name in _MIXTURE_FIELDS}),
     )
 
 
 def model_to_dict(model: MissingnessModel) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "delta_max": model.delta_max,
+        "schema_version": formats.SCHEMA_VERSION,
+        "delta_max": DELTA_MAX,
         "onset_prob": list(model.onset_prob),
         "day": _regime_to_dict(model.day),
         "night": _regime_to_dict(model.night),
@@ -331,25 +306,29 @@ def model_to_dict(model: MissingnessModel) -> dict:
 
 
 def model_from_dict(data: dict) -> MissingnessModel:
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise EstimationError(f"unsupported model schema {data.get('schema_version')!r}")
+    """Build a model from its JSON fields; the envelope is checked by ``load_model``."""
     missing = [f for f in _MODEL_FIELDS if f not in data]
     if missing:
         raise EstimationError(f"model is missing fields: {missing}")
+    if data.get("delta_max", DELTA_MAX) != DELTA_MAX:
+        # sample_duration caps every gap at DELTA_MAX; another cap would be ignored
+        raise EstimationError(f"delta_max must be {DELTA_MAX}, got {data['delta_max']!r}")
     return MissingnessModel(
         onset_prob=tuple(float(p) for p in data["onset_prob"]),
         day=_regime_from_dict(data["day"]),
         night=_regime_from_dict(data["night"]),
-        delta_max=int(data.get("delta_max", DELTA_MAX)),
     )
 
 
 def save_model(model: MissingnessModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
+    formats.write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> MissingnessModel:
+    doc = formats.read_json(path, error=EstimationError)
     try:
-        return model_from_dict(json.loads(Path(path).read_text()))
+        return model_from_dict(doc)
     except EstimationError as exc:
         raise EstimationError(f"{path}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise EstimationError(f"{path}: malformed model field: {exc}") from exc

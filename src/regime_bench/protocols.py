@@ -7,13 +7,11 @@ windows around hypoglycemic onsets during TCR activation.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import formats
 from .core import Episode
 from .errors import AllocationError, DimensionError, IntegrityError, ParseError, SelectionError
 from .masks import Mask, round5
@@ -22,7 +20,6 @@ WINDOW_SAMPLES_A = 6  # 30 minutes
 MIN_SAMPLES_B = 42  # 3.5 hours
 MAX_SAMPLES_B = 48  # 4 hours
 POST_MEAL_SCAN = 48  # 4-hour peak scan
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -260,48 +257,40 @@ def build_hypo_masks(
 
 def write_windows_json(entries, path, protocol: str, condition: str | None = None):
     """entries: iterable of (patient_id, episode_id, RegimeWindow)."""
-    records = []
-    for patient_id, episode_id, w in sorted(
-        entries, key=lambda e: (e[0], e[1], e[2].start_index)
-    ):
-        records.append(
-            {
-                "patient_id": patient_id,
-                "episode_id": episode_id,
-                "protocol": w.protocol,
-                "start_index": w.start_index,
-                "end_index": w.end_index,
-                "anchor_index": w.anchor_index,
-                "meal_index": w.meal_index,
-                "meal_carbs": w.meal_carbs,
-            }
+    records = [
+        {"patient_id": patient_id, "episode_id": episode_id, **asdict(w)}
+        for patient_id, episode_id, w in sorted(
+            entries, key=lambda e: (e[0], e[1], e[2].start_index)
         )
-    doc = {"schema_version": SCHEMA_VERSION, "protocol": protocol, "windows": records}
+    ]
+    doc = {"protocol": protocol, "windows": records}
     if condition is not None:
         doc["condition"] = condition
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    formats.write_json(path, doc)
 
 
 def read_windows_json(path):
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ParseError(f"unsupported windows schema {doc.get('schema_version')!r}")
+    """Load windows; returns (metadata, [(patient_id, episode_id, RegimeWindow), ...]).
+
+    A record missing a required field raises ParseError naming the file and
+    the record's position in the ``windows`` list.
+    """
+    doc = formats.read_json(path, records="windows")
     out = []
-    for rec in doc["windows"]:
-        out.append(
-            (
-                rec["patient_id"],
-                rec["episode_id"],
-                RegimeWindow(
-                    rec["protocol"],
-                    rec["start_index"],
-                    rec["end_index"],
-                    rec.get("anchor_index"),
-                    rec.get("meal_index"),
-                    rec.get("meal_carbs"),
-                ),
+    for i, rec in enumerate(doc["windows"]):
+        try:
+            key = (rec["patient_id"], rec["episode_id"])
+            window = RegimeWindow(
+                rec["protocol"],
+                rec["start_index"],
+                rec["end_index"],
+                rec.get("anchor_index"),
+                rec.get("meal_index"),
+                rec.get("meal_carbs"),
             )
-        )
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"{path}: windows[{i}]: missing or malformed field: {exc}") from exc
+        out.append((*key, window))
     meta = {k: v for k, v in doc.items() if k != "windows"}
     return meta, out
 
@@ -311,29 +300,18 @@ TCR_HEADER = ["patient_id", "episode_id", "tcr_start_index", "tcr_end_index"]
 
 def write_tcr_csv(rows, path):
     """rows: iterable of (patient_id, episode_id, start_index, end_index)."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TCR_HEADER)
-        for row in sorted(rows):
-            writer.writerow(list(row))
+    formats.write_csv(path, TCR_HEADER, sorted(rows))
 
 
 def read_tcr_csv(path) -> dict[tuple[str, int], list[tuple[int, int]]]:
     out: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != TCR_HEADER:
-            raise ParseError(f"line 1: expected header {','.join(TCR_HEADER)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"line {line_no}: expected 4 fields")
-            try:
-                key = (row[0], int(row[1]))
-                interval = (int(row[2]), int(row[3]))
-            except ValueError as exc:
-                raise ParseError(f"line {line_no}: bad TCR interval") from exc
-            out.setdefault(key, []).append(interval)
+    for line_no, row in formats.read_csv(path, TCR_HEADER):
+        if len(row) != 4:
+            raise ParseError(f"{path}: line {line_no}: expected 4 fields")
+        try:
+            key = (row[0], int(row[1]))
+            interval = (int(row[2]), int(row[3]))
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {line_no}: bad TCR interval") from exc
+        out.setdefault(key, []).append(interval)
     return out

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import formats
 from .core import Episode
 from .errors import RoutingError
 from .imputers import Imputation, impute_lerp
@@ -136,9 +135,6 @@ def write_routing_json(entries, path) -> None:
         }
         for patient_id, episode_id, d in entries
     ]
-    doc = {
-        "schema_version": 1,
-        "summary": routing_summary([d for _, _, d in entries]),
-        "decisions": decisions,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    formats.write_json(
+        path, {"summary": routing_summary([d for _, _, d in entries]), "decisions": decisions}
+    )

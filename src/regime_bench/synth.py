@@ -12,12 +12,12 @@ exceeds any episode-split threshold).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import formats
 from .core import Episode, SAMPLES_PER_DAY, export_csv
 from .errors import ConfigError
 from .protocols import write_tcr_csv
@@ -186,12 +186,12 @@ def generate(config: SynthConfig) -> SynthResult:
 
 
 def write_labels_csv(result: SynthResult, path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode_id", "t", "regime"])
-        for episode_id in sorted(result.labels):
-            for t, code in enumerate(result.labels[episode_id]):
-                writer.writerow([episode_id, t, REGIME_NAMES[code]])
+    rows = (
+        [episode_id, t, REGIME_NAMES[code]]
+        for episode_id in sorted(result.labels)
+        for t, code in enumerate(result.labels[episode_id])
+    )
+    formats.write_csv(path, ["episode_id", "t", "regime"], rows)
 
 
 def write_fixture(result: SynthResult, out_dir) -> dict[str, Path]:

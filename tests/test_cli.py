@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from conftest import build_injected_model, gapped_days
-from regime_bench import cli, core, imputers, masks, missingness
+from regime_bench import cli, core, imputers, masks, missingness, protocols
+from regime_bench.errors import RegimeBenchError
 from regime_bench.imputers import Imputation
 
 
@@ -326,6 +328,16 @@ class TestCalibrateCommand:
         total = sum(int(line.split(",")[2]) for line in hist_lines[1:])
         assert total == summary["n_points"]
 
+    def test_empty_masks_file_fails(self, pipeline, tmp_path, capsys):
+        empty = tmp_path / "masks.json"
+        empty.write_text(json.dumps({"schema_version": 1, "masks": []}))
+        code = run(
+            "calibrate", "--input", pipeline["cgm"], "--imputed", pipeline["imputed"]["lerp"],
+            "--masks", empty, "--out", tmp_path / "cal",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {empty}: no mask records to calibrate\n"
+
 
 class TestRouteCommand:
     def test_stationary_corpus_routes_to_lerp(self, tmp_path):
@@ -379,6 +391,48 @@ class TestReportCommand:
         rendered = tmp_path / "again.txt"
         assert run("report", "--input", out / "report.json", "--out", rendered) == 0
         assert rendered.read_bytes() == (out / "table.txt").read_bytes()
+
+
+ENVELOPE_CASES = {
+    "array": lambda key: "[]",
+    "not-json": lambda key: "not json",
+    "version": lambda key: json.dumps({"schema_version": 2, key: []}),
+    "no-records": lambda key: json.dumps({"schema_version": 1}),
+}
+
+
+class TestFileEnvelope:
+    """Every JSON reader rejects a malformed document with one error naming the file."""
+
+    def readers(self, pipeline, bad, out):
+        # reader -> (records key, library loader, CLI run that reads the document)
+        cgm = pipeline["cgm"]
+        return {
+            "masks": ("masks", masks.read_masks_json,
+                      ["impute", "--input", cgm, "--masks", bad, "--method", "lerp",
+                       "--out", out / "lerp.csv"]),
+            "model": ("onset_prob", missingness.load_model,
+                      ["mask", "--input", cgm, "--model", bad, "--seed", 1,
+                       "--out", out / "masks.json"]),
+            "windows": ("windows", protocols.read_windows_json,
+                        ["evaluate", "--input", cgm, "--imputed", pipeline["imputed"]["lerp"],
+                         "--masks", pipeline["masks"], "--windows", bad, "--out", out / "eval"]),
+            "report": ("groups", None, ["report", "--input", bad, "--out", out / "table.txt"]),
+        }
+
+    @pytest.mark.parametrize("case", sorted(ENVELOPE_CASES))
+    @pytest.mark.parametrize("reader", ["masks", "model", "windows", "report"])
+    def test_malformed_document_names_the_file(self, pipeline, tmp_path, capsys, reader, case):
+        bad = tmp_path / f"{reader}.json"
+        key, load, argv = self.readers(pipeline, bad, tmp_path)[reader]
+        bad.write_text(ENVELOPE_CASES[case](key))
+        if load is not None:
+            with pytest.raises(RegimeBenchError, match=re.escape(str(bad))):
+                load(bad)
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert err.count("\n") == 1
 
 
 class TestWorkerCap:

@@ -27,7 +27,10 @@ from regime_bench.errors import (
 from regime_bench.masks import Mask
 
 
-def write_csv(tmp_path, rows, header="patient_id,timestamp,glucose,carbs,bolus,basal"):
+CGM_LINE = "patient_id,timestamp,glucose,carbs,bolus,basal"
+
+
+def write_csv(tmp_path, rows, header=CGM_LINE):
     path = tmp_path / "input.csv"
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
     return path
@@ -111,6 +114,21 @@ class TestIngest:
         path.write_text("a,b,c\n")
         with pytest.raises(ParseError, match="header"):
             ingest_csv(path, 240)
+
+    @pytest.mark.parametrize(
+        "header, rows, error",
+        [
+            ("a,b,c", [], ParseError),
+            (CGM_LINE, ["p1,0,100,0,0,0", "p1,5,not-a-number,0,0,0"], ParseError),
+            (CGM_LINE, ["p1,100,100,0,0,0", "p1,50,110,0,0,0"], OrderingError),
+        ],
+        ids=["header", "row", "ordering"],
+    )
+    def test_errors_start_with_the_path(self, tmp_path, header, rows, error):
+        path = write_csv(tmp_path, rows, header=header)
+        with pytest.raises(error) as exc:
+            ingest_csv(path, 240)
+        assert str(exc.value).startswith(f"{path}: line ")
 
     def test_patients_independent_and_sorted(self, tmp_path):
         rows = ["pB,0,100,0,0,0", "pA,0,110,0,0,0", "pB,500,120,0,0,0"]

@@ -209,3 +209,10 @@ class TestExternalFile:
             fh.write("p2,7,999,100.0,lerp\n")
         loaded = imp.load_external(path, pairs)
         assert [i.episode_ref for i in loaded] == [("p1", 0), ("p1", 1)]
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path, pairs = self.write_lerp(tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines[:3], "", "   ", *lines[3:]]) + "\n")
+        loaded = imp.load_external(path, pairs)
+        assert [i.episode_ref for i in loaded] == [("p1", 0), ("p1", 1)]

@@ -228,6 +228,23 @@ class TestModelSerialization:
         with pytest.raises(EstimationError, match=r"model\.json: model is missing fields: \['onset_prob'\]"):
             mz.load_model(path)
 
+    def test_delta_max_other_than_240_rejected(self, fitted_model, tmp_path):
+        # sample_duration always caps at 240 min, so another cap must not load silently
+        doc = mz.model_to_dict(fitted_model)
+        doc["delta_max"] = 60
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(EstimationError, match=r"model\.json: delta_max must be 240, got 60"):
+            mz.load_model(path)
+
+    def test_malformed_field_names_the_file(self, fitted_model, tmp_path):
+        doc = mz.model_to_dict(fitted_model)
+        doc["onset_prob"] = 5
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(EstimationError, match=r"model\.json: malformed model field"):
+            mz.load_model(path)
+
     def test_onset_probabilities_validated(self):
         with pytest.raises(EstimationError):
             mz.MissingnessModel(

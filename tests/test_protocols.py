@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,35 @@ class TestWindowAndTcrFiles:
         assert meta["protocol"] == "B"
         assert loaded == [("p1", 0, w) for w in windows]
 
+    def write_windows(self, tmp_path, edit):
+        ep = peaked_episode()
+        _, windows = pr.build_peak_masks(ep, 1, seed=5)
+        path = tmp_path / "windows.json"
+        pr.write_windows_json([("p1", 0, w) for w in windows], path, protocol="B")
+        doc = json.loads(path.read_text())
+        edit(doc["windows"][0])
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize(
+        "field", ["patient_id", "episode_id", "protocol", "start_index", "end_index"]
+    )
+    def test_window_missing_field_rejected(self, tmp_path, field):
+        path = self.write_windows(tmp_path, lambda rec: rec.pop(field))
+        with pytest.raises(
+            ParseError, match=rf"windows\.json: windows\[0\]: missing or malformed field: '{field}'"
+        ):
+            pr.read_windows_json(path)
+
+    def test_window_optional_fields_may_be_absent(self, tmp_path):
+        def drop_optional(rec):
+            for field in ("anchor_index", "meal_index", "meal_carbs"):
+                rec.pop(field)
+
+        path = self.write_windows(tmp_path, drop_optional)
+        (_, _, window), = pr.read_windows_json(path)[1]
+        assert window.anchor_index is window.meal_index is window.meal_carbs is None
+
     def test_tcr_round_trip(self, tmp_path):
         rows = [("p1", 0, 126, 174), ("p1", 1, 126, 174)]
         path = tmp_path / "tcr.csv"
@@ -294,3 +325,23 @@ class TestWindowAndTcrFiles:
         path.write_text("patient_id,episode_id,tcr_start_index,tcr_end_index\np1,0,abc,174\n")
         with pytest.raises(ParseError, match="line 2"):
             pr.read_tcr_csv(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a,b\n", "patient_id,episode_id,tcr_start_index,tcr_end_index\np1,0,abc,174\n"],
+        ids=["header", "row"],
+    )
+    def test_tcr_errors_start_with_the_path(self, tmp_path, text):
+        path = tmp_path / "tcr.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            pr.read_tcr_csv(path)
+        assert str(exc.value).startswith(f"{path}: line ")
+
+    def test_tcr_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "tcr.csv"
+        path.write_text(
+            "patient_id,episode_id,tcr_start_index,tcr_end_index\n"
+            "p1,0,126,174\n\n   \np1,1,126,174\n"
+        )
+        assert pr.read_tcr_csv(path) == {("p1", 0): [(126, 174)], ("p1", 1): [(126, 174)]}
