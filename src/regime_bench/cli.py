@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import formats, imputers, masks, metrics, missingness, protocols, router, synth
 from .core import export_csv, ingest_csv
-from .errors import CoverageError, EstimationError, FitError, RegimeBenchError
+from .errors import ConfigError, CoverageError, EstimationError, FitError, RegimeBenchError
 
 PROTOCOL_LABELS = {
     "empirical": "empirical",
@@ -54,11 +54,28 @@ def _load_pairs(args):
     return meta, pairs
 
 
+def _load_imputed(paths, pairs):
+    """load_external for each --imputed file in turn; one file per method."""
+    seen = {}
+    for path in paths:
+        imputations = imputers.load_external(path, pairs)
+        if imputations:
+            method = imputations[0].method
+            if method in seen:
+                raise RegimeBenchError(f"method {method!r} is in both {seen[method]} and {path}")
+            seen[method] = path
+        yield imputations
+
+
 def cmd_synth(args) -> int:
+    try:
+        meal_times = tuple(int(v) for v in args.meal_times.split(",") if v.strip())
+    except ValueError:
+        raise ConfigError(f"--meal-times must be comma-separated integers, got {args.meal_times!r}")
     config = synth.SynthConfig(
         days=args.days,
         baseline=args.baseline,
-        meal_times=tuple(int(v) for v in args.meal_times.split(",") if v.strip()),
+        meal_times=meal_times,
         meal_carbs=args.meal_carbs,
         peak_amplitude=args.peak_amplitude,
         hypo_depth=args.hypo_depth,
@@ -114,40 +131,38 @@ def cmd_mask(args) -> int:
     return 0
 
 
+_CONDITIONS = {"A": "ratio={ratio:g}", "B": "peaks={n_peaks}", "C": "hypo={hypo_window_min}min"}
+
+
+def _protocol_mask(args, ep, tcr_map):
+    """One episode's (mask, windows) under --protocol."""
+    if args.protocol == "C":
+        intervals = tcr_map.get((ep.patient_id, ep.episode_id), [])
+        return protocols.build_hypo_masks(ep, intervals, args.hypo_window_min)
+    seed = masks.derive_seed(args.seed, ep.patient_id, ep.episode_id)
+    if args.protocol == "A":
+        candidates = protocols.find_stable_windows(ep)
+        return protocols.allocate_stationary_mask(ep, candidates, args.ratio, seed)
+    return protocols.build_peak_masks(ep, args.n_peaks, seed)
+
+
 def cmd_stress(args) -> int:
     episodes = ingest_csv(args.input, args.partition_gap)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mask_entries, window_entries = [], []
-    if args.protocol == "A":
-        condition = f"ratio={args.ratio:g}"
-        for ep in episodes:
-            candidates = protocols.find_stable_windows(ep)
-            mask, selected = protocols.allocate_stationary_mask(
-                ep, candidates, args.ratio, masks.derive_seed(args.seed, ep.patient_id, ep.episode_id)
-            )
-            mask_entries.append((ep.patient_id, ep.episode_id, mask))
-            window_entries.extend((ep.patient_id, ep.episode_id, w) for w in selected)
-    elif args.protocol == "B":
-        condition = f"peaks={args.n_peaks}"
-        for ep in episodes:
-            mask, windows = protocols.build_peak_masks(
-                ep, args.n_peaks, masks.derive_seed(args.seed, ep.patient_id, ep.episode_id)
-            )
-            mask_entries.append((ep.patient_id, ep.episode_id, mask))
-            window_entries.extend((ep.patient_id, ep.episode_id, w) for w in windows)
-    else:
+    tcr_map = None
+    if args.protocol == "C":
         if args.tcr is None:
             raise RegimeBenchError("protocol C requires --tcr metadata")
-        condition = f"hypo={args.hypo_window_min}min"
         tcr_map = protocols.read_tcr_csv(args.tcr)
-        for ep in episodes:
-            intervals = tcr_map.get((ep.patient_id, ep.episode_id), [])
-            mask, windows = protocols.build_hypo_masks(ep, intervals, args.hypo_window_min)
-            if not windows:
-                continue
-            mask_entries.append((ep.patient_id, ep.episode_id, mask))
-            window_entries.extend((ep.patient_id, ep.episode_id, w) for w in windows)
+    condition = _CONDITIONS[args.protocol].format(**vars(args))
+    mask_entries, window_entries = [], []
+    for ep in episodes:
+        mask, windows = _protocol_mask(args, ep, tcr_map)
+        if args.protocol == "C" and not windows:
+            continue  # protocol C masks only episodes with a hypoglycemic onset
+        mask_entries.append((ep.patient_id, ep.episode_id, mask))
+        window_entries.extend((ep.patient_id, ep.episode_id, w) for w in windows)
     provenance = f"protocol_{args.protocol}"
     masks_path = out_dir / "masks.json"
     windows_path = out_dir / "windows.json"
@@ -179,8 +194,7 @@ def cmd_evaluate(args) -> int:
         protocol = wmeta.get("protocol", protocol)
         condition = wmeta.get("condition", condition)
     entries = []
-    for path in args.imputed:
-        imputations = imputers.load_external(path, pairs)
+    for imputations in _load_imputed(args.imputed, pairs):
         for (ep, mask), imp in zip(pairs, imputations):
             if not (mask.bits == 0).any():
                 continue  # nothing masked on this episode, nothing to score
@@ -200,6 +214,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+_CAL_FIELDS = ("n_points", "truth_mean", "truth_std", "imputed_mean", "imputed_std", "delta")
 _CAL_FILTERS = {
     "all": None,
     "below-70": lambda y: y < 70.0,
@@ -215,23 +230,12 @@ def cmd_calibrate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
-    for path in args.imputed:
-        imputations = imputers.load_external(path, pairs)
+    for imputations in _load_imputed(args.imputed, pairs):
         method = imputations[0].method
         triples = [(ep.glucose, imp.values, mask) for (ep, mask), imp in zip(pairs, imputations)]
         summary = metrics.pooled_calibration(triples, regime_filter)
-        records.append(
-            {
-                "model": method,
-                "filter": args.filter,
-                "n_points": summary.n_points,
-                "truth_mean": summary.truth_mean,
-                "truth_std": summary.truth_std,
-                "imputed_mean": summary.imputed_mean,
-                "imputed_std": summary.imputed_std,
-                "delta": summary.delta,
-            }
-        )
+        moments = {name: getattr(summary, name) for name in _CAL_FIELDS}
+        records.append({"model": method, "filter": args.filter, **moments})
         hist_path = out_dir / f"calibration_{method}.csv"
         edges = metrics.HIST_EDGES
         bins = zip(edges[:-1], edges[1:], summary.truth_hist, summary.imputed_hist)
@@ -273,8 +277,7 @@ def cmd_route(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = formats.read_json(args.input, records="groups")
-    table = metrics.render_table(doc["groups"])
+    table = metrics.render_table(metrics.read_report(args.input))
     Path(args.out).write_text(table)
     print(table, end="")
     return 0

@@ -1,8 +1,11 @@
-"""Uniform 5-minute CGM episodes: CSV ingestion, resampling, partitioning, model inputs."""
+"""Uniform 5-minute CGM episodes: CSV ingestion, resampling, partitioning, model inputs,
+and the run-length codec shared by masks, gaps and protocol windows."""
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -105,16 +108,30 @@ def episodes_equal(a: Episode, b: Episode) -> bool:
     )
 
 
-def snap_to_grid(minute: float) -> int:
-    # round-half-up keeps tie handling deterministic across platforms
-    return int(math.floor(minute / GRID_MINUTES + 0.5)) * GRID_MINUTES
+def bits_to_runs(bits: np.ndarray) -> list[tuple[int, int]]:
+    """Run-length encode the masked (0) stretches as (start, length) pairs."""
+    hidden = np.concatenate(([0], np.asarray(bits) == 0, [0]))
+    edges = np.flatnonzero(np.diff(hidden)).tolist()  # run starts and ends alternate
+    return [(s, e - s) for s, e in zip(edges[::2], edges[1::2])]
+
+
+def runs_to_bits(T: int, runs) -> np.ndarray:
+    """Retention bits of length T with every (start, length) run set to 0."""
+    bits = np.ones(T, dtype=np.uint8)
+    for start, length in runs:
+        if length < 1:
+            raise DimensionError(f"run ({start}, {length}) has non-positive length")
+        if start < 0 or start + length > T:
+            raise DimensionError(f"run ({start}, {length}) exceeds mask length {T}")
+        bits[start : start + length] = 0
+    return bits
 
 
 def _parse_timestamp(text: str, line_no: int) -> float:
     text = text.strip()
     try:
         return float(int(text))
-    except ValueError:
+    except (ValueError, OverflowError):  # not an integer, or too large for a float
         pass
     try:
         stamp = text.replace("Z", "+00:00") if text.endswith("Z") else text
@@ -136,10 +153,10 @@ def _parse_float(text: str, field: str, line_no: int, default: float = 0.0) -> f
         raise ParseError(f"line {line_no}: bad {field} value {text!r}") from exc
 
 
-def _parse_row(row, line_no: int) -> tuple[str, float, float | None, float, float, float]:
+def _parse_row(row, line_no: int) -> tuple[str, float, float, float, float, float]:
     """One CSV row as (patient, minute, glucose, carbs, bolus, basal).
 
-    glucose is None for event-only rows. Range and sign guards are applied
+    glucose is NaN for event-only rows. Range and sign guards are applied
     here so errors can carry the offending line number.
     """
     if len(row) != len(CGM_HEADER):
@@ -148,14 +165,11 @@ def _parse_row(row, line_no: int) -> tuple[str, float, float | None, float, floa
     if not patient:
         raise ParseError(f"line {line_no}: empty patient_id")
     minute = _parse_timestamp(row[1], line_no)
-    glucose_text = row[2].strip()
-    glucose = None
-    if glucose_text:
-        glucose = _parse_float(glucose_text, "glucose", line_no)
-        if not (GLUCOSE_MIN <= glucose <= GLUCOSE_MAX):
-            raise ParseError(
-                f"line {line_no}: glucose {glucose} outside [{GLUCOSE_MIN:g}, {GLUCOSE_MAX:g}]"
-            )
+    glucose = _parse_float(row[2], "glucose", line_no, default=math.nan)
+    if row[2].strip() and not (GLUCOSE_MIN <= glucose <= GLUCOSE_MAX):
+        raise ParseError(
+            f"line {line_no}: glucose {glucose} outside [{GLUCOSE_MIN:g}, {GLUCOSE_MAX:g}]"
+        )
     carbs = _parse_float(row[3], "carbs", line_no)
     bolus = _parse_float(row[4], "bolus", line_no)
     basal = _parse_float(row[5], "basal", line_no)
@@ -173,54 +187,60 @@ def ingest_csv(path, partition_gap_minutes: int) -> list[Episode]:
     """
     if partition_gap_minutes <= 0:
         raise ParseError("partition_gap_minutes must be positive")
-    # per patient: grid minute -> [glucose, carbs, bolus, basal]
-    grids: dict[str, dict[int, list[float]]] = {}
-    last_raw: dict[str, float] = {}
+    # per patient, flat in file order: (minute, glucose, carbs, bolus, basal) per row
+    rows: defaultdict[str, array] = defaultdict(lambda: array("d"))
     for line_no, row in formats.read_csv(path, CGM_HEADER):
         try:
-            patient, minute, glucose, carbs, bolus, basal = _parse_row(row, line_no)
+            parsed = _parse_row(row, line_no)
         except ParseError as exc:
             raise ParseError(f"{path}: {exc}") from exc
-        if patient in last_raw and minute < last_raw[patient]:
+        table = rows[parsed[0]]
+        if table and parsed[1] < table[-5]:  # the patient's previous minute
             raise OrderingError(
-                f"{path}: line {line_no}: timestamp decreases within patient {patient!r}"
+                f"{path}: line {line_no}: timestamp decreases within patient {parsed[0]!r}"
             )
-        last_raw[patient] = minute
-        grid = snap_to_grid(minute)
-        cell = grids.setdefault(patient, {}).setdefault(grid, [math.nan, 0.0, 0.0, 0.0])
-        if glucose is not None:
-            cell[0] = glucose  # later reading wins on grid collisions
-        cell[1] += carbs  # events accumulate rather than overwrite
-        cell[2] += bolus
-        if basal:
-            cell[3] = basal
+        table.extend(parsed[1:])
     episodes = []
-    for patient in sorted(grids):
-        cells = grids[patient]
-        obs_minutes = sorted(m for m, c in cells.items() if not math.isnan(c[0]))
-        if not obs_minutes:
-            continue
-        # split where consecutive observations are further apart than the threshold
-        segments = [[obs_minutes[0]]]
-        for m in obs_minutes[1:]:
-            if m - segments[-1][-1] > partition_gap_minutes:
-                segments.append([])
-            segments[-1].append(m)
-        for episode_id, seg in enumerate(segments):
-            start, end = seg[0], seg[-1]
-            t_len = (end - start) // GRID_MINUTES + 1
-            glucose = np.full(t_len, np.nan)
-            exog = np.zeros((t_len, 3))
-            for t in range(t_len):
-                cell = cells.get(start + GRID_MINUTES * t)
-                if cell is None:
-                    continue
-                glucose[t] = cell[0]
-                exog[t] = cell[1:]
-            observed = (~np.isnan(glucose)).astype(np.uint8)
-            episodes.append(
-                Episode(patient, episode_id, start, glucose, exog, observed)
-            )
+    for patient in sorted(rows):
+        episodes += _partition(patient, np.frombuffer(rows[patient]), partition_gap_minutes)
+    return episodes
+
+
+def _last_per_cell(cell: np.ndarray, values: np.ndarray, keep: np.ndarray, fill: float):
+    """Per cell, the value of its last row with keep set, else fill (cell never decreases)."""
+    out = np.full(cell[-1] + 1, fill)
+    rows = np.flatnonzero(keep)
+    last = rows[np.diff(cell[rows], append=cell[-1] + 1) > 0]
+    out[cell[last]] = values[last]
+    return out
+
+
+def _partition(patient: str, rows: np.ndarray, partition_gap_minutes: int) -> list[Episode]:
+    """Episodes from one patient's flat (minute, glucose, carbs, bolus, basal) rows."""
+    minute, glucose, carbs, bolus, basal = rows.reshape(-1, 5).T
+    # round-half-up keeps tie handling deterministic across platforms; grid indices stay
+    # floats, which hold any timestamp the reader accepts where an int64 may overflow
+    grid = np.floor(minute / GRID_MINUTES + 0.5)
+    # timestamps never decrease, so each grid point's rows form one run, numbered by cell
+    first = np.diff(grid, prepend=-np.inf) > 0
+    cell, grid = np.cumsum(first) - 1, grid[first]
+    # a later reading wins a collision, events accumulate, a later non-zero basal wins
+    values = np.column_stack([_last_per_cell(cell, glucose, ~np.isnan(glucose), np.nan),
+                              np.bincount(cell, carbs), np.bincount(cell, bolus),
+                              _last_per_cell(cell, basal, basal != 0, 0.0)])
+    obs = np.flatnonzero(~np.isnan(values[:, 0]))
+    if obs.size == 0:
+        return []
+    # split where consecutive observations are further apart than the threshold
+    split = np.diff(grid[obs]) * GRID_MINUTES > partition_gap_minutes
+    bounds = zip(obs[np.append(True, split)], obs[np.append(split, True)] + 1)
+    episodes = []
+    for episode_id, (lo, hi) in enumerate(bounds):
+        t = (grid[lo:hi] - grid[lo]).astype(np.intp)
+        dense = np.tile([np.nan, 0.0, 0.0, 0.0], (t[-1] + 1, 1))
+        dense[t] = values[lo:hi]
+        glucose, exog, start = dense[:, 0], dense[:, 1:], int(grid[lo]) * GRID_MINUTES
+        episodes.append(Episode(patient, episode_id, start, glucose, exog, ~np.isnan(glucose)))
     return episodes
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import formats
-from .core import Episode
+from .core import Episode, bits_to_runs, runs_to_bits
 from .errors import DimensionError, IntegrityError, ParseError
 from .missingness import (
     DELTA_MAX,
@@ -55,9 +55,6 @@ class Mask:
     @property
     def T(self) -> int:
         return self.bits.size
-
-    def masked_fraction(self) -> float:
-        return float(1.0 - self.bits.mean())
 
 
 def round5(x: float) -> int:
@@ -128,9 +125,8 @@ def generate_mask(
         raise DimensionError("mask length must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     seed_value = seed if isinstance(seed, (int, np.integer)) else 0
-    bits = np.ones(T, dtype=np.uint8)
     onset = model.onset_prob
-    events = []
+    runs, events = [], []
     t = 0
     while t < T:
         minute = start_time_of_day + 5 * t
@@ -146,11 +142,12 @@ def generate_mask(
                 kind, delta = "sustained", sample_duration(model, regime, rng)
             length = -(-delta // 5)
             t_start = int(rng.integers(t, min(t_next, T)))
-            bits[t_start : min(t_start + length, T)] = 0
+            runs.append((t_start, min(length, T - t_start)))
             events.append(GapDraw(t_start, int(hour), regime, kind, delta))
             t = t_start + length
         else:
             t = t_next
+    bits = runs_to_bits(T, runs)
     return Mask(bits, seed=int(seed_value), provenance="empirical", events=tuple(events))
 
 
@@ -173,47 +170,22 @@ def apply_mask(episode: Episode, mask: Mask) -> Episode:
     )
 
 
-def bits_to_runs(bits: np.ndarray) -> list[tuple[int, int]]:
-    """Run-length encode the masked (0) stretches as (start, length) pairs."""
-    hidden = np.asarray(bits) == 0
-    padded = np.concatenate(([False], hidden, [False]))
-    edges = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    return [(int(s), int(e - s)) for s, e in zip(starts, ends)]
-
-
-def runs_to_bits(T: int, runs) -> np.ndarray:
-    bits = np.ones(T, dtype=np.uint8)
-    for start, length in runs:
-        if length < 1:
-            raise DimensionError(f"run ({start}, {length}) has non-positive length")
-        if start < 0 or start + length > T:
-            raise DimensionError(f"run ({start}, {length}) exceeds mask length {T}")
-        bits[start : start + length] = 0
-    return bits
-
-
 def write_masks_json(entries, path, provenance: str = "empirical", condition: str | None = None):
     """Serialize masks as run-length encoded JSON.
 
     entries: iterable of (patient_id, episode_id, Mask).
     """
-    records = []
-    for patient_id, episode_id, mask in sorted(entries, key=lambda e: (e[0], e[1])):
-        records.append(
-            {
-                "patient_id": patient_id,
-                "episode_id": episode_id,
-                "T": mask.T,
-                "seed": mask.seed,
-                "provenance": mask.provenance,
-                "gaps": [
-                    {"start_index": s, "length_samples": n}
-                    for s, n in bits_to_runs(mask.bits)
-                ],
-            }
-        )
+    records = [
+        {
+            "patient_id": patient_id,
+            "episode_id": episode_id,
+            "T": mask.T,
+            "seed": mask.seed,
+            "provenance": mask.provenance,
+            "gaps": [{"start_index": s, "length_samples": n} for s, n in bits_to_runs(mask.bits)],
+        }
+        for patient_id, episode_id, mask in sorted(entries, key=lambda e: (e[0], e[1]))
+    ]
     doc = {"provenance": provenance, "masks": records}
     if condition is not None:
         doc["condition"] = condition

@@ -8,8 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MetricDomainError
-from .masks import Mask, bits_to_runs
+from . import formats
+from .core import bits_to_runs
+from .errors import MetricDomainError, ParseError
+from .masks import Mask
 
 HIST_EDGES = np.arange(20, 505, 5, dtype=float)  # 5 mg/dL bins over [20, 500)
 
@@ -236,3 +238,25 @@ def render_table(rows: list[dict]) -> str:
         lines.append("")
     lines.append("* best, + second best per scenario")
     return "\n".join(lines) + "\n"
+
+
+# the fields render_table reads from each report group, with their JSON types
+_GROUP_FIELDS = {
+    "model": str, "protocol": str, "condition": str, "n_episodes": int,
+    **dict.fromkeys(METRIC_FIELDS, (int, float)), "best": list, "second": list,
+}
+
+
+def read_report(path) -> list[dict]:
+    """Load the groups of a report.json; a malformed group raises ParseError naming it."""
+    groups = formats.read_json(path, records="groups")["groups"]
+    for i, rec in enumerate(groups):
+        where = f"{path}: groups[{i}]"
+        if not isinstance(rec, dict):
+            raise ParseError(f"{where}: expected an object, got {type(rec).__name__}")
+        for name, kind in _GROUP_FIELDS.items():
+            if name not in rec:
+                raise ParseError(f"{where}: missing field {name!r}")
+            if not isinstance(rec[name], kind) or isinstance(rec[name], bool):
+                raise ParseError(f"{where}: field {name!r} has type {type(rec[name]).__name__}")
+    return groups

@@ -16,7 +16,7 @@ from scipy.optimize import least_squares
 from scipy.special import ndtr
 
 from . import formats
-from .core import Episode, SAMPLES_PER_DAY
+from .core import SAMPLES_PER_DAY, Episode, bits_to_runs
 from .errors import ConvergenceError, EstimationError, FitError
 
 DELTA_MAX = 240
@@ -123,11 +123,10 @@ def valid_days(episodes: list[Episode]) -> set[tuple[str, int]]:
     """Days with at least half of the 288 expected samples observed."""
     counts: dict[tuple[str, int], int] = {}
     for ep in episodes:
-        days = (ep.start_minute + 5 * np.arange(ep.T)) // 1440
-        for day in np.unique(days):
+        days = (ep.start_minute + 5 * np.flatnonzero(ep.observed)) // 1440
+        for day, n in zip(*np.unique(days, return_counts=True)):
             key = (ep.patient_id, int(day))
-            n = int(ep.observed[days == day].sum())
-            counts[key] = counts.get(key, 0) + n
+            counts[key] = counts.get(key, 0) + int(n)
     threshold = VALID_DAY_FRACTION * SAMPLES_PER_DAY
     return {key for key, n in counts.items() if n >= threshold}
 
@@ -136,21 +135,10 @@ def extract_gaps(episodes: list[Episode], valid: set[tuple[str, int]]) -> list[G
     """Maximal missing runs whose start falls on a valid day."""
     gaps = []
     for ep in episodes:
-        missing = ep.observed == 0
-        if not missing.any():
-            continue
-        padded = np.concatenate(([0], missing.view(np.uint8), [0]))
-        edges = np.diff(padded.astype(np.int8))
-        starts = np.flatnonzero(edges == 1)
-        ends = np.flatnonzero(edges == -1)
-        for s, e in zip(starts, ends):
-            s = int(s)
+        for s, n in bits_to_runs(ep.observed):
             day = ep.day_at(s)
-            if (ep.patient_id, day) not in valid:
-                continue
-            gaps.append(
-                GapEvent(ep.patient_id, day, ep.hour_at(s), s, int(e - s) * 5)
-            )
+            if (ep.patient_id, day) in valid:
+                gaps.append(GapEvent(ep.patient_id, day, ep.hour_at(s), s, n * 5))
     return gaps
 
 

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import formats
-from .core import Episode
+from .core import Episode, runs_to_bits
 from .errors import AllocationError, DimensionError, IntegrityError, ParseError, SelectionError
 from .masks import Mask, round5
 
@@ -130,6 +130,10 @@ def _greedy_select(windows, order, needed: int, T: int) -> list[RegimeWindow]:
     return chosen
 
 
+def _runs(windows: list[RegimeWindow]) -> list[tuple[int, int]]:
+    return [(w.start_index, w.end_index - w.start_index) for w in windows]
+
+
 def allocate_stationary_mask(
     episode: Episode, windows: list[RegimeWindow], ratio: float, seed: int
 ) -> tuple[Mask, list[RegimeWindow]]:
@@ -157,13 +161,10 @@ def allocate_stationary_mask(
         # random maximal set fell short of the optimum; use earliest-end order
         order = np.argsort([w.end_index for w in windows], kind="stable")
         chosen = _greedy_select(windows, order, needed, T)
-    bits = np.ones(T, dtype=np.uint8)
-    for w in chosen[:n_full]:
-        bits[w.start_index : w.end_index] = 0
+    runs = _runs(chosen[:n_full])
     if residual:
-        partial = chosen[n_full]
-        bits[partial.start_index : partial.start_index + residual] = 0
-    return Mask(bits, seed=seed, provenance="protocol_A"), chosen
+        runs.append((chosen[n_full].start_index, residual))
+    return Mask(runs_to_bits(T, runs), seed=seed, provenance="protocol_A"), chosen
 
 
 def aggregate_meals(episode: Episode) -> list[MealEvent]:
@@ -223,9 +224,7 @@ def build_peak_masks(
             f"episode {episode.patient_id}/{episode.episode_id} yields "
             f"{len(windows)} peak windows, requested {n_peaks}"
         )
-    bits = np.ones(episode.T, dtype=np.uint8)
-    for w in windows:
-        bits[w.start_index : w.end_index] = 0
+    bits = runs_to_bits(episode.T, _runs(windows))
     return Mask(bits, seed=seed, provenance="protocol_B"), windows
 
 
@@ -249,10 +248,7 @@ def build_hypo_masks(
         end = min(episode.T, start + length)
         start = max(0, start)
         windows.append(RegimeWindow("C", start, end, anchor_index=anchor))
-    bits = np.ones(episode.T, dtype=np.uint8)
-    for w in windows:
-        bits[w.start_index : w.end_index] = 0
-    return Mask(bits, provenance="protocol_C"), windows
+    return Mask(runs_to_bits(episode.T, _runs(windows)), provenance="protocol_C"), windows
 
 
 def write_windows_json(entries, path, protocol: str, condition: str | None = None):
@@ -281,12 +277,8 @@ def read_windows_json(path):
         try:
             key = (rec["patient_id"], rec["episode_id"])
             window = RegimeWindow(
-                rec["protocol"],
-                rec["start_index"],
-                rec["end_index"],
-                rec.get("anchor_index"),
-                rec.get("meal_index"),
-                rec.get("meal_carbs"),
+                rec["protocol"], rec["start_index"], rec["end_index"],
+                *map(rec.get, ("anchor_index", "meal_index", "meal_carbs")),
             )
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{path}: windows[{i}]: missing or malformed field: {exc}") from exc

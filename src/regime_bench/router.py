@@ -7,10 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formats
-from .core import Episode
+from .core import Episode, bits_to_runs
 from .errors import RoutingError
 from .imputers import Imputation, impute_lerp
-from .masks import Mask, apply_mask, bits_to_runs
+from .masks import Mask, apply_mask
 from .protocols import StabilityCriteria, gradient_of
 
 

@@ -45,6 +45,12 @@ class TestSynthCommand:
         assert run("synth", "--days", 1, "--baseline", 200, "--out", tmp_path) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_integer_meal_time_rejected(self, tmp_path, capsys):
+        assert run("synth", "--days", 1, "--meal-times", "480,abc", "--out", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "error: --meal-times must be comma-separated integers, got '480,abc'\n"
+        )
+
 
 class TestFitCommand:
     def test_matches_library_pipeline(self, corpus, tmp_path):
@@ -339,6 +345,25 @@ class TestCalibrateCommand:
         assert capsys.readouterr().err == f"error: {empty}: no mask records to calibrate\n"
 
 
+class TestImputedFiles:
+    """evaluate and calibrate take one --imputed file per method."""
+
+    @pytest.mark.parametrize("command, output", [("evaluate", "report.json"),
+                                                 ("calibrate", "calibration.json")])
+    def test_repeated_method_rejected(self, pipeline, tmp_path, capsys, command, output):
+        first = pipeline["imputed"]["lerp"]
+        second = tmp_path / "lerp-again.csv"
+        second.write_bytes(first.read_bytes())
+        out = tmp_path / "out"
+        code = run(
+            command, "--input", pipeline["cgm"], "--masks", pipeline["masks"],
+            "--imputed", first, "--imputed", second, "--out", out,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: method 'lerp' is in both {first} and {second}\n"
+        assert not (out / output).exists()
+
+
 class TestRouteCommand:
     def test_stationary_corpus_routes_to_lerp(self, tmp_path):
         # meal-free fixture: every masked window has flat, euglycemic context
@@ -391,6 +416,32 @@ class TestReportCommand:
         rendered = tmp_path / "again.txt"
         assert run("report", "--input", out / "report.json", "--out", rendered) == 0
         assert rendered.read_bytes() == (out / "table.txt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "group, detail",
+        [
+            ({}, "missing field 'model'"),
+            ("rmse-text", "field 'rmse' has type str"),
+            (5, "expected an object, got int"),
+        ],
+        ids=["empty", "rmse-text", "not-object"],
+    )
+    def test_malformed_group_names_the_record(self, pipeline, tmp_path, capsys, group, detail):
+        out = tmp_path / "eval"
+        assert run(
+            "evaluate", "--input", pipeline["cgm"], "--imputed", pipeline["imputed"]["lerp"],
+            "--masks", pipeline["masks"], "--out", out,
+        ) == 0
+        doc = json.loads((out / "report.json").read_text())
+        if group == "rmse-text":
+            group = dict(doc["groups"][0], rmse="x")
+        doc["groups"].append(group)
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("report", "--input", bad, "--out", tmp_path / "table.txt") == 1
+        assert capsys.readouterr().err == f"error: {bad}: groups[1]: {detail}\n"
+        assert not (tmp_path / "table.txt").exists()
 
 
 ENVELOPE_CASES = {

@@ -1,4 +1,6 @@
 import math
+import re
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -130,6 +132,34 @@ class TestIngest:
             ingest_csv(path, 240)
         assert str(exc.value).startswith(f"{path}: line ")
 
+    def test_offsets_and_z_dropped_to_wall_clock(self, tmp_path):
+        rows = [
+            "p1,1970-01-01T01:00:00+02:00,100,0,0,0",
+            "p1,1970-01-01T01:05:00Z,105,0,0,0",
+            "p1,1970-01-01T01:10:00-05:30,110,0,0,0",
+        ]
+        (ep,) = ingest_csv(write_csv(tmp_path, rows), 240)
+        assert ep.start_minute == 60
+        assert list(ep.glucose) == [100.0, 105.0, 110.0]
+
+    def test_large_integer_timestamp_keeps_its_grid_minute(self, tmp_path):
+        # beyond int64 range for the grid index; the grid stays exact in floats
+        (ep,) = ingest_csv(write_csv(tmp_path, [f"p1,{10**20},100,0,0,0"]), 240)
+        assert ep.start_minute == 10**20
+
+    def test_integer_timestamp_beyond_float_range_rejected(self, tmp_path):
+        path = write_csv(tmp_path, ["p1,1" + "0" * 400 + ",100,0,0,0"])
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: bad timestamp"):
+            ingest_csv(path, 240)
+
+    def test_dst_fall_back_is_an_ordering_error(self, tmp_path):
+        # clocks go back at 03:00 CEST: 02:55+02:00 is followed by 02:00+01:00
+        rows = ["p1,2024-10-27T02:55:00+02:00,100,0,0,0", "p1,2024-10-27T02:00:00+01:00,105,0,0,0"]
+        path = write_csv(tmp_path, rows)
+        with pytest.raises(OrderingError) as exc:
+            ingest_csv(path, 240)
+        assert str(exc.value) == f"{path}: line 3: timestamp decreases within patient 'p1'"
+
     def test_patients_independent_and_sorted(self, tmp_path):
         rows = ["pB,0,100,0,0,0", "pA,0,110,0,0,0", "pB,500,120,0,0,0"]
         episodes = ingest_csv(write_csv(tmp_path, rows), 240)
@@ -138,6 +168,74 @@ class TestIngest:
             ("pB", 0),
             ("pB", 1),
         ]
+
+
+def _oracle_episodes(rows, threshold):
+    """Dict-per-grid-point reading of the ingest rules, one episode per observed run."""
+    grids = {}
+    for patient, minute, glucose, carbs, bolus, basal in rows:
+        grid = math.floor(minute / 5 + 0.5) * 5
+        cell = grids.setdefault(patient, {}).setdefault(grid, [math.nan, 0.0, 0.0, 0.0])
+        if glucose is not None:
+            cell[0] = glucose
+        cell[1] += carbs
+        cell[2] += bolus
+        if basal:
+            cell[3] = basal
+    episodes = []
+    for patient in sorted(grids):
+        cells = grids[patient]
+        observed = sorted(m for m, cell in cells.items() if not math.isnan(cell[0]))
+        runs = [[observed[0]]] if observed else []
+        for m in observed[1:]:
+            if m - runs[-1][-1] > threshold:
+                runs.append([])
+            runs[-1].append(m)
+        for episode_id, run in enumerate(runs):
+            grid = range(run[0], run[-1] + 1, 5)
+            values = [cells.get(m, [math.nan, 0.0, 0.0, 0.0]) for m in grid]
+            episodes.append((patient, episode_id, run[0], values))
+    return episodes
+
+
+# one CSV row: patient, seconds since the patient's previous row, glucose, carbs, bolus, basal
+_ROW = st.tuples(
+    st.sampled_from(["pA", "pB", "pC"]),
+    st.sampled_from([0, 30, 60, 120, 150, 180, 300, 450, 600, 1800, 7200, 18000]),
+    st.one_of(st.none(), st.floats(20.0, 500.0)),
+    st.sampled_from([0.0, 0.1, 0.2, 15.0, 20.5]),
+    st.sampled_from([0.0, 0.1, 0.3, 1.5]),
+    st.sampled_from([0.0, 0.0, 0.8, 1.25]),
+)
+
+
+class TestIngestOracle:
+    @given(
+        rows=st.lists(_ROW, min_size=1, max_size=40),
+        iso=st.booleans(),
+        threshold=st.sampled_from([5, 10, 30, 240]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dict_oracle(self, tmp_path_factory, rows, iso, threshold):
+        clock, parsed, lines = {}, [], []
+        for patient, step, glucose, carbs, bolus, basal in rows:
+            seconds = clock[patient] = clock.get(patient, 86400) + step
+            if iso or seconds % 60:
+                stamp = (datetime(1970, 1, 1) + timedelta(seconds=seconds)).isoformat()
+            else:
+                stamp = str(seconds // 60)
+            exog = ["" if v == 0.0 and iso else repr(v) for v in (carbs, bolus, basal)]
+            lines.append(",".join([patient, stamp, "" if glucose is None else repr(glucose), *exog]))
+            parsed.append((patient, seconds / 60, glucose, carbs, bolus, basal))
+        path = tmp_path_factory.mktemp("oracle") / "in.csv"
+        path.write_text(CGM_LINE + "\n" + "\n".join(lines) + "\n")
+        episodes = ingest_csv(path, threshold)
+        expected = _oracle_episodes(parsed, threshold)
+        assert len(episodes) == len(expected)
+        for ep, (patient, episode_id, start, values) in zip(episodes, expected):
+            assert (ep.patient_id, ep.episode_id, ep.start_minute) == (patient, episode_id, start)
+            assert np.array_equal(ep.glucose, [v[0] for v in values], equal_nan=True)
+            assert np.array_equal(ep.exog, [v[1:] for v in values])
 
 
 class TestExportRoundTrip:
