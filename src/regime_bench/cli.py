@@ -193,13 +193,17 @@ def cmd_evaluate(args) -> int:
         wmeta, _ = protocols.read_windows_json(args.windows)
         protocol = wmeta.get("protocol", protocol)
         condition = wmeta.get("condition", condition)
+    scored = [bool((mask.bits == 0).any()) for _, mask in pairs]
     entries = []
     for imputations in _load_imputed(args.imputed, pairs):
-        for (ep, mask), imp in zip(pairs, imputations):
-            if not (mask.bits == 0).any():
-                continue  # nothing masked on this episode, nothing to score
-            report = metrics.score_episode(ep.glucose, imp.values, mask)
-            entries.append(((imp.method, protocol, condition), report))
+        for (ep, mask), imp, score in zip(pairs, imputations, scored):
+            if score:  # an episode with nothing masked has nothing to score
+                report = metrics.score_episode(ep.glucose, imp.values, mask)
+                entries.append(((imp.method, protocol, condition), report))
+    skipped = scored.count(False)
+    if skipped:
+        print(f"evaluate: skipped {skipped} of {len(pairs)} episodes with no masked samples",
+              file=sys.stderr)
     rows = metrics.aggregate(entries)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -173,7 +173,9 @@ def _parse_row(row, line_no: int) -> tuple[str, float, float, float, float, floa
     carbs = _parse_float(row[3], "carbs", line_no)
     bolus = _parse_float(row[4], "bolus", line_no)
     basal = _parse_float(row[5], "basal", line_no)
-    if min(carbs, bolus, basal) < 0:
+    if not (math.isfinite(carbs) and math.isfinite(bolus) and math.isfinite(basal)):
+        raise ParseError(f"line {line_no}: non-finite exogenous value")
+    if carbs < 0 or bolus < 0 or basal < 0:
         raise ParseError(f"line {line_no}: negative exogenous value")
     return patient, minute, glucose, carbs, bolus, basal
 

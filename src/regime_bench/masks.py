@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import formats
 from .core import Episode, bits_to_runs, runs_to_bits
@@ -75,6 +74,8 @@ def _trunc_exp_ppf(u: float, k: float) -> float:
 
 
 def _trunc_norm_ppf(u: float, mu: float, sigma: float) -> float:
+    from scipy.special import ndtr, ndtri  # scipy loads only where it is called
+
     if sigma <= 1e-12:
         return min(max(mu, DELTA_MIN_SUSTAINED), DELTA_MAX)
     lo = ndtr((DELTA_MIN_SUSTAINED - mu) / sigma)

@@ -76,21 +76,31 @@ def pointwise_metrics(truth, imputed, mask: Mask) -> tuple[float, float, float, 
 
 
 def dtw_distance(a, b) -> float:
-    """Classic unconstrained DTW with |a_i - b_j| local cost."""
+    """Classic unconstrained DTW with |a_i - b_j| local cost.
+
+    Exact two-row recurrence on Python floats. The predecessor is picked in
+    the order min(up, left, diag) picks it, so each cell is the same add of
+    the same operands as in the full (n+1, m+1) table, NaN and inf included.
+    """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if a.size == 0 or b.size == 0:
         raise MetricDomainError("DTW needs two non-empty sequences")
-    n, m = a.size, b.size
-    acc = np.full((n + 1, m + 1), np.inf)
-    acc[0, 0] = 0.0
-    for i in range(1, n + 1):
-        row = acc[i]
-        prev = acc[i - 1]
-        ai = a[i - 1]
-        for j in range(1, m + 1):
-            row[j] = abs(ai - b[j - 1]) + min(prev[j], row[j - 1], prev[j - 1])
-    return float(acc[n, m])
+    bs = b.tolist()
+    prev = [0.0] + [math.inf] * len(bs)
+    for ai in a.tolist():
+        row = [math.inf]
+        append = row.append
+        left = math.inf
+        for bj, diag, best in zip(bs, prev, prev[1:]):  # best starts as up
+            if left < best:
+                best = left
+            if diag < best:
+                best = diag
+            left = abs(ai - bj) + best
+            append(left)
+        prev = row
+    return prev[-1]
 
 
 def _runs_dtw(truth: np.ndarray, imputed: np.ndarray, runs) -> float:

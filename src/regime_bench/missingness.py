@@ -12,8 +12,6 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.special import ndtr
 
 from . import formats
 from .core import SAMPLES_PER_DAY, Episode, bits_to_runs
@@ -66,6 +64,8 @@ class DurationMixture:
 
     def component_masses(self) -> tuple[float, float, float]:
         """Closed-form integrals of each component over [10, 240]."""
+        from scipy.special import ndtr  # scipy loads only where it is called
+
         span = DELTA_MAX - DELTA_MIN_SUSTAINED
         m_exp = self.A * (1.0 - math.exp(-self.k * span)) / self.k
         lo = (DELTA_MIN_SUSTAINED - self.mu) / self.sigma
@@ -76,6 +76,8 @@ class DurationMixture:
 
     def cdf(self, x):
         """CDF of the normalized sustained-duration distribution on [10, 240]."""
+        from scipy.special import ndtr
+
         x = np.clip(np.asarray(x, dtype=float), DELTA_MIN_SUSTAINED, DELTA_MAX)
         span = DELTA_MAX - DELTA_MIN_SUSTAINED
         f_exp = -np.expm1(-self.k * (x - DELTA_MIN_SUSTAINED))
@@ -190,6 +192,8 @@ def fit_duration_density(
     max_nfev: int = 20000,
 ) -> DurationMixture:
     """Bounded nonlinear least squares for the three-component duration density."""
+    from scipy.optimize import least_squares
+
     centers = np.asarray(centers, dtype=float)
     values = np.asarray(values, dtype=float)
     if centers.shape != values.shape or centers.size == 0:

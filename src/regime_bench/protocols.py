@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import formats
 from .core import Episode, runs_to_bits
@@ -81,31 +82,33 @@ def find_stable_windows(
     """All 30-min windows meeting the five stability criteria.
 
     The 60-min washout span must lie fully inside the episode, so windows
-    starting in the first hour are never candidates.
+    starting in the first hour are never candidates. Every start is tested
+    at once: sliding-window min, max and gradient quorum, and cumulative
+    event counts over the window and its washout.
     """
     if not episode.fully_observed():
         raise IntegrityError("stable-window detection requires complete glucose")
-    g = episode.glucose
     grad = np.abs(gradient(episode))
-    events = _event_flags(episode)
     washout = criteria.washout_minutes // 5
-    out = []
-    for s in range(washout, episode.T - WINDOW_SAMPLES_A + 1):
-        e = s + WINDOW_SAMPLES_A
-        seg = g[s:e]
-        lo, hi = seg.min(), seg.max()
-        if lo < criteria.glucose_low or hi > criteria.glucose_high:
-            continue
-        if np.mean(grad[s:e] < criteria.gradient_threshold) < criteria.gradient_quorum:
-            continue
-        if events[s:e].any():
-            continue
-        if events[s - washout : s].any():
-            continue
-        if hi - lo >= criteria.max_range:
-            continue
-        out.append(RegimeWindow("A", s, e))
-    return out
+    if washout < 0:
+        raise DimensionError(f"washout_minutes must be >= 0, got {criteria.washout_minutes}")
+    last = episode.T - WINDOW_SAMPLES_A  # last start whose window fits
+    if last < washout:
+        return []
+    seg = sliding_window_view(episode.glucose[washout:], WINDOW_SAMPLES_A)
+    lo, hi = seg.min(axis=1), seg.max(axis=1)
+    steady = sliding_window_view(grad[washout:] < criteria.gradient_threshold, WINDOW_SAMPLES_A)
+    n_events = np.concatenate(([0], np.cumsum(_event_flags(episode))))  # events before t
+    starts = np.arange(washout, last + 1)
+    # negated comparisons keep the loop's handling of ties and NaN
+    keep = (
+        ~((lo < criteria.glucose_low) | (hi > criteria.glucose_high))
+        & ~(steady.mean(axis=1) < criteria.gradient_quorum)
+        & (n_events[starts + WINDOW_SAMPLES_A] == n_events[starts])
+        & (n_events[starts] == n_events[starts - washout])
+        & ~(hi - lo >= criteria.max_range)
+    )
+    return [RegimeWindow("A", s, s + WINDOW_SAMPLES_A) for s in starts[keep].tolist()]
 
 
 def _max_disjoint(windows: list[RegimeWindow]) -> int:

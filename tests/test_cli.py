@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +313,30 @@ class TestEvaluateCommand:
         table = (out / "table.txt").read_text()
         assert "protocol=A" in table and "lerp" in table
 
+    def test_skipped_episodes_reported_on_stderr(self, pipeline, tmp_path, capsys):
+        doc = json.loads(pipeline["masks"].read_text())
+        doc["masks"][0]["gaps"] = []  # nothing masked on the first episode
+        masks_path = tmp_path / "masks.json"
+        masks_path.write_text(json.dumps(doc))
+        imputed = tmp_path / "lerp.csv"
+        assert run("impute", "--input", pipeline["cgm"], "--masks", masks_path,
+                   "--method", "lerp", "--out", imputed) == 0
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        assert run("evaluate", "--input", pipeline["cgm"], "--imputed", imputed,
+                   "--masks", masks_path, "--out", out) == 0
+        captured = capsys.readouterr()
+        n = len(doc["masks"])
+        assert captured.err == f"evaluate: skipped 1 of {n} episodes with no masked samples\n"
+        assert captured.out.endswith(f"{out / 'report.json'}\n{out / 'table.txt'}\n")
+        (group,) = json.loads((out / "report.json").read_text())["groups"]
+        assert group["n_episodes"] == n - 1
+
+    def test_nothing_skipped_nothing_on_stderr(self, pipeline, tmp_path, capsys):
+        assert run("evaluate", "--input", pipeline["cgm"], "--imputed", pipeline["imputed"]["lerp"],
+                   "--masks", pipeline["masks"], "--out", tmp_path / "eval") == 0
+        assert capsys.readouterr().err == ""
+
     def test_missing_mask_file_fails(self, pipeline, tmp_path, capsys):
         code = run(
             "evaluate", "--input", pipeline["cgm"], "--imputed", pipeline["imputed"]["lerp"],
@@ -495,3 +523,37 @@ class TestWorkerCap:
     def test_valid_thread_cap_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REGIME_BENCH_THREADS", "4")
         assert run("synth", "--days", 1, "--out", tmp_path / "fx") == 0
+
+
+def _scipy_modules_after(code):
+    """Run code in a fresh interpreter; returns the scipy modules it loaded."""
+    src = Path(cli.__file__).resolve().parents[1]
+    path = [str(src), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    return proc.stdout.strip().splitlines()[-1]
+
+
+class TestScipyLoadedOnlyWhereCalled:
+    """Only fit, mask and synth --gap-model call scipy; no other path loads it."""
+
+    def test_importing_the_package_loads_no_scipy(self):
+        assert _scipy_modules_after("import regime_bench, regime_bench.cli") == "[]"
+
+    def test_protocol_a_stress_impute_evaluate_load_no_scipy(self, tmp_path):
+        assert run("synth", "--days", 10, "--noise-std", 1.0, "--seed", 3, "--out", tmp_path) == 0
+        cgm, stress, imputed = tmp_path / "cgm.csv", tmp_path / "A", tmp_path / "lerp.csv"
+        steps = [
+            ["stress", "--input", cgm, "--protocol", "A", "--seed", 1, "--out", stress],
+            ["impute", "--input", cgm, "--masks", stress / "masks.json", "--method", "lerp",
+             "--out", imputed],
+            ["evaluate", "--input", cgm, "--imputed", imputed, "--masks", stress / "masks.json",
+             "--windows", stress / "windows.json", "--out", tmp_path / "eval"],
+        ]
+        code = "from regime_bench.cli import main\n" + "\n".join(
+            f"assert main({[str(a) for a in step]!r}) == 0" for step in steps
+        )
+        assert _scipy_modules_after(code) == "[]"
+        assert (tmp_path / "eval" / "report.json").exists()

@@ -106,6 +106,22 @@ class TestIngest:
         with pytest.raises(ParseError, match="line 2"):
             ingest_csv(path, 240)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["p1,0,100,nan,inf,0"],
+            ["p1,0,100,0,0,0", "p1,5,110,0,0,nan"],
+            ["p1,0,100,0,0,0", "p1,5,110,-inf,0,0"],
+        ],
+        ids=["nan-carbs", "nan-basal", "negative-inf"],
+    )
+    def test_non_finite_exogenous_value_rejected(self, tmp_path, rows):
+        path = write_csv(tmp_path, rows)
+        line = len(rows) + 1
+        with pytest.raises(ParseError) as exc:
+            ingest_csv(path, 240)
+        assert str(exc.value) == f"{path}: line {line}: non-finite exogenous value"
+
     def test_non_monotone_timestamps(self, tmp_path):
         path = write_csv(tmp_path, ["p1,100,100,0,0,0", "p1,50,110,0,0,0"])
         with pytest.raises(OrderingError, match="line 3"):

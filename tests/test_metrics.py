@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_dtw
+from helpers import brute_force_dtw, table_dtw
 from regime_bench import metrics as mt
 from regime_bench.errors import MetricDomainError
 from regime_bench.masks import Mask
@@ -105,6 +107,34 @@ class TestDtw:
         assert mt.dtw_distance(af, bf) == brute_force_dtw(af, bf)
         assert mt.dtw_distance(af, bf) == mt.dtw_distance(bf, af)
         assert mt.dtw_distance(af, bf) >= 0.0
+
+    # repeated, integer-valued and real values, with NaN and +-inf mixed in
+    _values = st.one_of(
+        st.sampled_from([0.0, 1.0, 70.0, 100.0, 100.5, -3.0]),
+        st.integers(min_value=-50, max_value=400).map(float),
+        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+
+    @given(
+        a=st.lists(_values, min_size=1, max_size=60),
+        b=st.lists(_values, min_size=1, max_size=60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_table_loop(self, a, b):
+        assert repr(mt.dtw_distance(a, b)) == repr(table_dtw(a, b))
+
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        m=st.integers(min_value=1, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_bit_identical_to_table_loop_on_cgm_like_series(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        a = 100.0 + np.cumsum(rng.normal(0.0, 3.0, n))
+        b = 100.0 + np.cumsum(rng.normal(0.0, 3.0, m))
+        assert repr(mt.dtw_distance(a, b)) == repr(table_dtw(a, b))
 
 
 class TestSegmentDtw:

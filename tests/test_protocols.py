@@ -2,11 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import make_episode
+from helpers import loop_stable_windows, make_episode
 from regime_bench import protocols as pr
 from regime_bench import synth
-from regime_bench.errors import AllocationError, IntegrityError, ParseError, SelectionError
+from regime_bench.errors import (
+    AllocationError,
+    DimensionError,
+    IntegrityError,
+    ParseError,
+    RegimeBenchError,
+    SelectionError,
+)
 from regime_bench.masks import bits_to_runs
 
 
@@ -108,6 +117,99 @@ class TestStableWindows:
                 assert not events[w.start_index : w.end_index].any()
                 assert not events[w.start_index - 12 : w.start_index].any()
                 assert seg.max() - seg.min() < 25
+
+
+@st.composite
+def stability_cases(draw):
+    """An episode and criteria that sit on the thresholds the five checks compare against."""
+    washout_minutes = draw(st.sampled_from([0, 5, 30, 60]))
+    T = draw(st.integers(1, washout_minutes // 5 + pr.WINDOW_SAMPLES_A + 40))
+    # levels at and around 70/140, with ranges of exactly 25 (70-95, 115-140)
+    levels = [65.0, 69.5, 70.0, 71.0, 95.0, 100.0, 115.0, 120.0, 139.0, 140.0, 140.5]
+    shape = draw(st.sampled_from(["flat", "levels", "walk"]))
+    if shape == "flat":  # a stable trace with a few samples moved off it
+        glucose = np.full(T, draw(st.sampled_from([70.0, 95.0, 115.0, 140.0])))
+        moved = draw(st.dictionaries(st.integers(0, T - 1), st.sampled_from(levels), max_size=2))
+        for i, value in moved.items():
+            glucose[i] = value
+    elif shape == "levels":
+        glucose = draw(st.lists(st.sampled_from(levels), min_size=T, max_size=T))
+    else:
+        # steps of 3 and 6 give gradients of exactly 0.6 mg/dL/min
+        start = draw(st.sampled_from([70.0, 100.0, 115.0, 140.0]))
+        steps = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, -1.0, 3.0, -3.0, 6.0, -6.0, 12.0]),
+                              min_size=T - 1, max_size=T - 1))
+        glucose = np.concatenate(([start], start + np.cumsum(steps)))
+    glucose = np.asarray(glucose, dtype=float)
+    if draw(st.sampled_from([False] * 9 + [True])):
+        glucose[draw(st.integers(0, T - 1))] = np.nan  # not fully observed
+    index = st.integers(0, T - 1)
+    carbs = draw(st.dictionaries(index, st.sampled_from([10.0, 40.0]), max_size=2))
+    bolus = draw(st.dictionaries(index, st.sampled_from([0.5, 2.0]), max_size=2))
+    basal = draw(st.sampled_from([0.0, 1.0]))  # background delivery, never an event
+    criteria = pr.StabilityCriteria(
+        washout_minutes=washout_minutes,
+        gradient_quorum=draw(st.sampled_from([0.85, 5 / 6, 1.0, 0.5])),  # 5-of-6 vs 6-of-6
+        max_range=draw(st.sampled_from([25.0, 10.0])),
+    )
+    return make_episode(glucose, carbs=carbs, bolus=bolus, basal=basal), criteria
+
+
+def _outcome(find, episode, criteria):
+    try:
+        return find(episode, criteria)
+    except RegimeBenchError as exc:
+        return type(exc), str(exc)
+
+
+class TestStableWindowParity:
+    @given(case=stability_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_loop(self, case):
+        episode, criteria = case
+        assert _outcome(pr.find_stable_windows, episode, criteria) == _outcome(
+            loop_stable_windows, episode, criteria
+        )
+
+    _dip = np.r_[np.full(20, 100.0), 92.0, np.full(19, 100.0)]
+
+    @pytest.mark.parametrize(
+        "glucose, criteria",
+        [
+            (np.full(40, 70.0), {}),  # glucose_low tie
+            (np.full(40, 140.0), {}),  # glucose_high tie
+            # a 25 mg/dL step: range exactly 25, 4 of 6 gradients steady
+            (np.r_[np.full(20, 100.0), np.full(20, 125.0)], {"gradient_quorum": 0.5}),
+            (np.tile([100.0, 103.0, 106.0, 103.0], 10), {}),  # |gradient| 0 or exactly 0.6
+            (_dip, {"gradient_quorum": 5 / 6}),  # 5 of 6 gradients steady, at the quorum
+            (_dip, {}),  # 5 of 6 against 0.85
+            (np.full(8, 100.0), {"washout_minutes": 0}),
+        ],
+        ids=["low-70", "high-140", "range-25", "gradient-0.6", "quorum-5-of-6", "quorum-0.85",
+             "no-washout"],
+    )
+    def test_matches_the_loop_on_threshold_ties(self, glucose, criteria):
+        episode, criteria = make_episode(glucose), pr.StabilityCriteria(**criteria)
+        windows = pr.find_stable_windows(episode, criteria)
+        assert windows == loop_stable_windows(episode, criteria)
+
+    def test_events_at_the_washout_edge(self):
+        # a bolus at 87 lies in the washout [s-12, s) of starts 88..99 and in
+        # the window of starts 82..87; start 100 is the first one clear after it
+        ep = flat_day(bolus={87: 1.0})
+        windows = pr.find_stable_windows(ep)
+        assert windows == loop_stable_windows(ep)
+        starts = {w.start_index for w in windows}
+        assert {81, 100} <= starts
+        assert not starts & set(range(82, 100))
+
+    def test_single_sample_episode_is_a_dimension_error(self):
+        with pytest.raises(DimensionError):
+            pr.find_stable_windows(make_episode([100.0]), pr.StabilityCriteria(washout_minutes=0))
+
+    def test_negative_washout_rejected(self):
+        with pytest.raises(DimensionError, match="washout_minutes"):
+            pr.find_stable_windows(flat_day(), pr.StabilityCriteria(washout_minutes=-5))
 
 
 class TestStationaryAllocation:
