@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import formats, imputers, masks, metrics, missingness, protocols, router, synth
-from .core import export_csv, ingest_csv
+from .core import export_csv, ingest_csv, split_mask
 from .errors import ConfigError, CoverageError, EstimationError, FitError, RegimeBenchError
 
 PROTOCOL_LABELS = {
@@ -193,7 +193,7 @@ def cmd_evaluate(args) -> int:
         wmeta, _ = protocols.read_windows_json(args.windows)
         protocol = wmeta.get("protocol", protocol)
         condition = wmeta.get("condition", condition)
-    scored = [bool((mask.bits == 0).any()) for _, mask in pairs]
+    scored = [split_mask(mask.bits, ep.observed)[1].any() for ep, mask in pairs]
     entries = []
     for imputations in _load_imputed(args.imputed, pairs):
         for (ep, mask), imp, score in zip(pairs, imputations, scored):

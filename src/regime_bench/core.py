@@ -1,5 +1,6 @@
 """Uniform 5-minute CGM episodes: CSV ingestion, resampling, partitioning, model inputs,
-and the run-length codec shared by masks, gaps and protocol windows."""
+the one mask-over-truth split, and the run-length codec shared by masks, gaps and
+protocol windows."""
 
 from __future__ import annotations
 
@@ -12,13 +13,7 @@ from datetime import datetime
 import numpy as np
 
 from . import formats
-from .errors import (
-    DimensionError,
-    EmptyEpisodeError,
-    IntegrityError,
-    OrderingError,
-    ParseError,
-)
+from .errors import DimensionError, IntegrityError, OrderingError, ParseError
 
 GRID_MINUTES = 5
 SAMPLES_PER_DAY = 288
@@ -113,6 +108,22 @@ def bits_to_runs(bits: np.ndarray) -> list[tuple[int, int]]:
     hidden = np.concatenate(([0], np.asarray(bits) == 0, [0]))
     edges = np.flatnonzero(np.diff(hidden)).tolist()  # run starts and ends alternate
     return [(s, e - s) for s, e in zip(edges[::2], edges[1::2])]
+
+
+def split_mask(bits, observed) -> tuple[np.ndarray, np.ndarray]:
+    """Split a mask over ground truth into boolean (retained, scored) index sets.
+
+    retained is where the mask keeps the value (bit 1); a mask may not retain an
+    index the truth never observed. scored is hidden & observed. An index the
+    truth never observed is in neither set: it is imputed but never scored.
+    """
+    retained = np.asarray(bits) != 0
+    observed = np.asarray(observed, dtype=bool)
+    if retained.shape != observed.shape:
+        raise DimensionError(f"mask length {retained.size} != episode length {observed.size}")
+    if np.any(retained & ~observed):
+        raise IntegrityError("mask retains an index with no ground-truth observation")
+    return retained, ~retained & observed
 
 
 def runs_to_bits(T: int, runs) -> np.ndarray:
@@ -265,29 +276,6 @@ def _cgm_rows(episodes: list[Episode]):
             ]
 
 
-def linear_fill(episode: Episode) -> Episode:
-    """Interpolate interior gaps linearly and trim unobservable edges."""
-    obs_idx = np.flatnonzero(episode.observed)
-    if obs_idx.size == 0:
-        raise EmptyEpisodeError(
-            f"episode {episode.patient_id}/{episode.episode_id} has no observations"
-        )
-    lo, hi = int(obs_idx[0]), int(obs_idx[-1])
-    glucose = episode.glucose[lo : hi + 1].copy()
-    missing = np.isnan(glucose)
-    if missing.any():
-        known = np.flatnonzero(~missing)
-        glucose[missing] = np.interp(np.flatnonzero(missing), known, glucose[known])
-    return Episode(
-        episode.patient_id,
-        episode.episode_id,
-        episode.start_minute + GRID_MINUTES * lo,
-        glucose,
-        episode.exog[lo : hi + 1],
-        np.ones(hi - lo + 1, dtype=np.uint8),
-    )
-
-
 def time_encoding(t, start_time_of_day: int = 0) -> np.ndarray:
     """Sinusoidal embedding of the absolute time of day at grid index (or indices) t.
 
@@ -306,12 +294,8 @@ def build_inputs(episode: Episode, mask) -> np.ndarray:
 
     Columns: masked glucose (0 where hidden), carbs, bolus, basal, sin_t, cos_t.
     """
-    bits = np.asarray(mask.bits if hasattr(mask, "bits") else mask, dtype=np.uint8)
-    if bits.shape != (episode.T,):
-        raise DimensionError(f"mask length {bits.size} != episode length {episode.T}")
-    if np.any((bits == 1) & (episode.observed == 0)):
-        raise IntegrityError("mask retains an index with no ground-truth observation")
-    masked = np.where(bits != 0, episode.glucose, 0.0)
+    retained, _ = split_mask(getattr(mask, "bits", mask), episode.observed)
+    masked = np.where(retained, episode.glucose, 0.0)
     clock = time_encoding(np.arange(episode.T), episode.start_time_of_day)
     return np.column_stack([masked, episode.exog, clock])
 

@@ -25,12 +25,17 @@ def write_json(path, doc: dict) -> None:
 def read_json(path, records: str | None = None, error=ParseError) -> dict:
     """Read a versioned JSON document.
 
-    Invalid JSON, a document that is not an object, an unsupported
-    ``schema_version`` and, when ``records`` is given, a missing or non-list
-    ``doc[records]`` all raise ``error`` with the path in its message.
+    Invalid JSON (``NaN``, ``Infinity`` and ``-Infinity`` included), a
+    document that is not an object, an unsupported ``schema_version`` and,
+    when ``records`` is given, a missing or non-list ``doc[records]`` all
+    raise ``error`` with the path in its message.
     """
+
+    def reject_constant(name):
+        raise error(f"{path}: invalid JSON: non-finite number {name}")
+
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise error(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

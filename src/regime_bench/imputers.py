@@ -7,14 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formats
-from .core import Episode
-from .errors import (
-    CoverageError,
-    DimensionError,
-    EmptyEpisodeError,
-    IntegrityError,
-    ParseError,
-)
+from .core import Episode, split_mask
+from .errors import CoverageError, EmptyEpisodeError, IntegrityError, ParseError
 from .masks import Mask
 
 EXTERNAL_HEADER = ["patient_id", "episode_id", "t", "value", "method"]
@@ -35,19 +29,16 @@ class Imputation:
         object.__setattr__(self, "values", values)
 
 
-def _retained_bits(episode: Episode, mask: Mask) -> np.ndarray:
-    if mask.T != episode.T:
-        raise DimensionError(f"mask length {mask.T} != episode length {episode.T}")
-    bits = mask.bits.astype(bool)
-    if np.any(bits & (episode.observed == 0)):
-        raise IntegrityError("mask retains an index with no ground-truth observation")
-    return bits
+def _retained(episode: Episode, mask: Mask) -> np.ndarray:
+    """The split's retained indices; a builtin imputer needs at least one."""
+    retained, _ = split_mask(mask.bits, episode.observed)
+    if not retained.any():
+        raise EmptyEpisodeError("imputer needs at least one retained observation")
+    return retained
 
 
 def _constant_fill(episode: Episode, mask: Mask, reducer, method: str) -> Imputation:
-    bits = _retained_bits(episode, mask)
-    if not bits.any():
-        raise EmptyEpisodeError("imputer needs at least one retained observation")
+    bits = _retained(episode, mask)
     values = np.where(bits, episode.glucose, reducer(episode.glucose[bits]))
     return Imputation(values, method, (episode.patient_id, episode.episode_id))
 
@@ -62,10 +53,8 @@ def impute_median(episode: Episode, mask: Mask) -> Imputation:
 
 def impute_locf(episode: Episode, mask: Mask) -> Imputation:
     """Last retained observation carried forward; a leading gap takes the next one."""
-    bits = _retained_bits(episode, mask)
+    bits = _retained(episode, mask)
     retained = np.flatnonzero(bits)
-    if retained.size == 0:
-        raise EmptyEpisodeError("imputer needs at least one retained observation")
     pos = np.searchsorted(retained, np.arange(episode.T), side="right") - 1
     source = retained[np.clip(pos, 0, retained.size - 1)]
     values = episode.glucose[source].copy()
@@ -75,10 +64,8 @@ def impute_locf(episode: Episode, mask: Mask) -> Imputation:
 
 def impute_lerp(episode: Episode, mask: Mask) -> Imputation:
     """Linear interpolation between bracketing retained observations."""
-    bits = _retained_bits(episode, mask)
+    bits = _retained(episode, mask)
     retained = np.flatnonzero(bits)
-    if retained.size == 0:
-        raise EmptyEpisodeError("imputer needs at least one retained observation")
     values = episode.glucose.copy()
     hidden = np.flatnonzero(~bits)
     if hidden.size:
@@ -166,10 +153,10 @@ def load_external(path, pairs: list[tuple[Episode, Mask]]) -> list[Imputation]:
         values = np.array([rows[t] for t in range(ep.T)])
         if not np.isfinite(values).all():
             raise IntegrityError(f"{path}: non-finite value in episode {key[0]}/{key[1]}")
-        bits = _retained_bits(ep, mask)
-        drift = np.abs(values[bits] - ep.glucose[bits])
+        retained, _ = split_mask(mask.bits, ep.observed)
+        drift = np.abs(values[retained] - ep.glucose[retained])
         if drift.size and drift.max() > RETAINED_TOLERANCE:
-            t_bad = int(np.flatnonzero(bits)[int(np.argmax(drift))])
+            t_bad = int(np.flatnonzero(retained)[int(np.argmax(drift))])
             raise IntegrityError(
                 f"{path}: episode {key[0]}/{key[1]} alters retained value at t={t_bad} "
                 f"by {drift.max():.3g}"

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import formats
-from .core import Episode, bits_to_runs, runs_to_bits
+from .core import Episode, bits_to_runs, runs_to_bits, split_mask
 from .errors import DimensionError, IntegrityError, ParseError
 from .missingness import (
     DELTA_MAX,
@@ -154,20 +154,18 @@ def generate_mask(
 
 def apply_mask(episode: Episode, mask: Mask) -> Episode:
     """Hide glucose where the mask is 0; the original episode keeps ground truth."""
-    if mask.T != episode.T:
-        raise DimensionError(f"mask length {mask.T} != episode length {episode.T}")
-    hidden = mask.bits == 0
-    if np.any(hidden & (episode.observed == 0)):
+    retained, scored = split_mask(mask.bits, episode.observed)
+    if not np.all(retained | scored):  # an index in neither set was never observed
         raise IntegrityError("mask hides indices that were never observed")
     glucose = episode.glucose.copy()
-    glucose[hidden] = np.nan
+    glucose[scored] = np.nan
     return Episode(
         episode.patient_id,
         episode.episode_id,
         episode.start_minute,
         glucose,
         episode.exog,
-        episode.observed & mask.bits,
+        retained,
     )
 
 

@@ -1,4 +1,5 @@
-"""Scoring on masked indices: pointwise, morphological (DTW), distributional."""
+"""Scoring on the scored indices of the core split (hidden and observed):
+pointwise, morphological (DTW), distributional."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formats
-from .core import bits_to_runs
+from .core import bits_to_runs, split_mask
 from .errors import MetricDomainError, ParseError
 from .masks import Mask
 
@@ -20,7 +21,7 @@ METRIC_FIELDS = ("rmse", "bias", "emp_se", "mard", "dtw")
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Per-episode scores over masked indices only."""
+    """Per-episode scores over scored indices only."""
 
     rmse: float
     bias: float
@@ -45,26 +46,24 @@ class CalibrationSummary:
     n_points: int
 
 
-def _masked_pairs(truth, imputed, mask: Mask):
+def _split_pairs(truth, imputed, mask: Mask):
+    """(truth, imputed, scored), observed read from truth: NaN marks a never-observed index."""
     truth = np.asarray(truth, dtype=float)
     imputed = np.asarray(imputed, dtype=float)
     if truth.shape != imputed.shape or truth.shape != (mask.T,):
         raise MetricDomainError("truth, imputed and mask lengths must agree")
-    hidden = mask.bits == 0
-    if not hidden.any():
-        raise MetricDomainError("mask has no masked indices to score")
-    return truth, imputed, hidden
+    _, scored = split_mask(mask.bits, ~np.isnan(truth))
+    return truth, imputed, scored
 
 
-def pointwise_metrics(truth, imputed, mask: Mask) -> tuple[float, float, float, float]:
-    """(rmse, bias, emp_se, mard) over masked indices.
+def _scored_pairs(truth, imputed, mask: Mask):
+    truth, imputed, scored = _split_pairs(truth, imputed, mask)
+    if not scored.any():
+        raise MetricDomainError("mask hides no observed index to score")
+    return truth, imputed, scored
 
-    emp_se is the population standard deviation of the residuals, recovered
-    from the decomposition rmse^2 = bias^2 + emp_se^2.
-    """
-    truth, imputed, hidden = _masked_pairs(truth, imputed, mask)
-    y = truth[hidden]
-    y_hat = imputed[hidden]
+
+def _pointwise(y: np.ndarray, y_hat: np.ndarray) -> tuple[float, float, float, float]:
     if np.any(y <= 0):
         raise MetricDomainError("MARD needs strictly positive truth at masked indices")
     residual = y_hat - y
@@ -73,6 +72,16 @@ def pointwise_metrics(truth, imputed, mask: Mask) -> tuple[float, float, float, 
     emp_se = math.sqrt(max(rmse**2 - bias**2, 0.0))
     mard = float(np.mean(np.abs(residual) / y) * 100.0)
     return rmse, bias, emp_se, mard
+
+
+def pointwise_metrics(truth, imputed, mask: Mask) -> tuple[float, float, float, float]:
+    """(rmse, bias, emp_se, mard) over scored indices.
+
+    emp_se is the population standard deviation of the residuals, recovered
+    from the decomposition rmse^2 = bias^2 + emp_se^2.
+    """
+    truth, imputed, scored = _scored_pairs(truth, imputed, mask)
+    return _pointwise(truth[scored], imputed[scored])
 
 
 def dtw_distance(a, b) -> float:
@@ -111,22 +120,22 @@ def _runs_dtw(truth: np.ndarray, imputed: np.ndarray, runs) -> float:
 
 
 def segment_dtw(truth, imputed, mask: Mask) -> float:
-    """DTW restricted to each contiguous masked run, summed over runs."""
-    truth, imputed, _ = _masked_pairs(truth, imputed, mask)
-    return _runs_dtw(truth, imputed, bits_to_runs(mask.bits))
+    """DTW restricted to each contiguous scored run, summed over runs."""
+    truth, imputed, scored = _scored_pairs(truth, imputed, mask)
+    return _runs_dtw(truth, imputed, bits_to_runs(~scored))
 
 
 def score_episode(truth, imputed, mask: Mask) -> MetricsReport:
-    rmse, bias, emp_se, mard = pointwise_metrics(truth, imputed, mask)
-    truth, imputed, hidden = _masked_pairs(truth, imputed, mask)
-    runs = bits_to_runs(mask.bits)
+    truth, imputed, scored = _scored_pairs(truth, imputed, mask)
+    rmse, bias, emp_se, mard = _pointwise(truth[scored], imputed[scored])
+    runs = bits_to_runs(~scored)
     return MetricsReport(
         rmse=rmse,
         bias=bias,
         emp_se=emp_se,
         mard=mard,
         dtw=_runs_dtw(truth, imputed, runs),
-        n_points=int(hidden.sum()),
+        n_points=int(scored.sum()),
         n_gaps=len(runs),
     )
 
@@ -148,29 +157,20 @@ def _summarize(y: np.ndarray, y_hat: np.ndarray) -> CalibrationSummary:
     )
 
 
-def _apply_filter(values: np.ndarray, regime_filter) -> np.ndarray:
-    result = regime_filter(values)
-    result = np.asarray(result)
-    if result.shape != values.shape:  # scalar predicate
-        result = np.array([bool(regime_filter(v)) for v in values])
-    return result.astype(bool)
-
-
 def pooled_calibration(triples, regime_filter=None) -> CalibrationSummary:
-    """Conditional calibration over masked indices whose truth is in-regime.
+    """Conditional calibration over scored indices whose truth is in-regime.
 
-    Masked values are pooled across (truth, imputed, mask) triples; pass one
-    triple to summarize a single series. Triples whose mask hides nothing
-    contribute nothing.
+    Scored values are pooled across (truth, imputed, mask) triples; pass one
+    triple to summarize a single series. Triples with nothing scored
+    contribute nothing. regime_filter maps the truth array to a boolean array.
     """
     ys, yhs = [], []
     for truth, imputed, mask in triples:
-        if not (mask.bits == 0).any():
+        truth, imputed, select = _split_pairs(truth, imputed, mask)
+        if not select.any():
             continue
-        truth, imputed, hidden = _masked_pairs(truth, imputed, mask)
-        select = hidden.copy()
         if regime_filter is not None:
-            select &= _apply_filter(truth, regime_filter)
+            select &= np.asarray(regime_filter(truth), dtype=bool)
         ys.append(truth[select])
         yhs.append(imputed[select])
     y = np.concatenate(ys) if ys else np.array([])

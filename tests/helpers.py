@@ -1,9 +1,12 @@
 """Shared test utilities: episode construction and independent oracles."""
 
+import math
+
 import numpy as np
 
-from regime_bench.core import Episode
-from regime_bench.errors import IntegrityError
+from regime_bench import metrics
+from regime_bench.core import Episode, bits_to_runs
+from regime_bench.errors import IntegrityError, MetricDomainError
 from regime_bench.protocols import WINDOW_SAMPLES_A, RegimeWindow, StabilityCriteria, gradient
 
 
@@ -100,3 +103,70 @@ def loop_stable_windows(episode, criteria=StabilityCriteria()):
             continue
         out.append(RegimeWindow("A", s, e))
     return out
+
+
+def _masked_pairs(truth, imputed, mask):
+    truth = np.asarray(truth, dtype=float)
+    imputed = np.asarray(imputed, dtype=float)
+    if truth.shape != imputed.shape or truth.shape != (mask.T,):
+        raise MetricDomainError("truth, imputed and mask lengths must agree")
+    hidden = mask.bits == 0
+    if not hidden.any():
+        raise MetricDomainError("mask has no masked indices to score")
+    return truth, imputed, hidden
+
+
+def masked_pairs_score_episode(truth, imputed, mask):
+    """score_episode as it was before the core split: every hidden index is scored.
+
+    The oracle for metrics on complete truth, where the split's scored set
+    is exactly the hidden bits.
+    """
+    truth, imputed, hidden = _masked_pairs(truth, imputed, mask)
+    y = truth[hidden]
+    y_hat = imputed[hidden]
+    if np.any(y <= 0):
+        raise MetricDomainError("MARD needs strictly positive truth at masked indices")
+    residual = y_hat - y
+    bias = float(residual.mean())
+    rmse = float(np.sqrt(np.mean(residual**2)))
+    emp_se = math.sqrt(max(rmse**2 - bias**2, 0.0))
+    mard = float(np.mean(np.abs(residual) / y) * 100.0)
+    truth, imputed, hidden = _masked_pairs(truth, imputed, mask)
+    runs = bits_to_runs(mask.bits)
+    dtw = 0.0
+    for start, length in runs:
+        dtw += metrics.dtw_distance(truth[start : start + length], imputed[start : start + length])
+    return metrics.MetricsReport(rmse=rmse, bias=bias, emp_se=emp_se, mard=mard, dtw=dtw,
+                                 n_points=int(hidden.sum()), n_gaps=len(runs))
+
+
+def masked_pairs_pooled_calibration(triples, regime_filter=None):
+    """pooled_calibration as it was before the core split; the oracle on complete truth."""
+    ys, yhs = [], []
+    for truth, imputed, mask in triples:
+        if not (mask.bits == 0).any():
+            continue
+        truth, imputed, hidden = _masked_pairs(truth, imputed, mask)
+        select = hidden.copy()
+        if regime_filter is not None:
+            select &= np.asarray(regime_filter(truth)).astype(bool)
+        ys.append(truth[select])
+        yhs.append(imputed[select])
+    y = np.concatenate(ys) if ys else np.array([])
+    y_hat = np.concatenate(yhs) if yhs else np.array([])
+    if y.size == 0:
+        raise MetricDomainError("no masked indices fall in the requested regime")
+    edges = metrics.HIST_EDGES
+    truth_mean = float(y.mean())
+    imputed_mean = float(y_hat.mean())
+    return metrics.CalibrationSummary(
+        truth_mean=truth_mean,
+        truth_std=float(y.std()),
+        imputed_mean=imputed_mean,
+        imputed_std=float(y_hat.std()),
+        delta=imputed_mean - truth_mean,
+        truth_hist=np.histogram(np.clip(y, 20.0, 500.0), bins=edges)[0],
+        imputed_hist=np.histogram(np.clip(y_hat, 20.0, 500.0), bins=edges)[0],
+        n_points=int(y.size),
+    )

@@ -514,6 +514,102 @@ class TestFileEnvelope:
         assert err.count("\n") == 1
 
 
+    @pytest.mark.parametrize(
+        "reader, constant",
+        [("model", "NaN"), ("masks", "-Infinity"), ("report", "Infinity")],
+    )
+    def test_non_finite_number_names_the_file(self, pipeline, tmp_path, capsys, reader, constant):
+        bad = tmp_path / f"{reader}.json"
+        _, load, argv = self.readers(pipeline, bad, tmp_path)[reader]
+        value = float(constant.lower().replace("infinity", "inf"))
+        if reader == "model":
+            missingness.save_model(build_injected_model(), bad)
+            doc = json.loads(bad.read_text())
+            doc["onset_prob"][0] = value
+        elif reader == "masks":
+            doc = json.loads(pipeline["masks"].read_text())
+            doc["masks"][0]["seed"] = value
+        else:
+            assert run("evaluate", "--input", pipeline["cgm"],
+                       "--imputed", pipeline["imputed"]["lerp"],
+                       "--masks", pipeline["masks"], "--out", tmp_path / "eval") == 0
+            doc = json.loads((tmp_path / "eval" / "report.json").read_text())
+            doc["groups"][0]["rmse"] = value
+        bad.write_text(json.dumps(doc))
+        assert constant in bad.read_text()
+        if load is not None:
+            with pytest.raises(RegimeBenchError, match=re.escape(str(bad))):
+                load(bad)
+        capsys.readouterr()
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: invalid JSON: non-finite number {constant}\n"
+        )
+
+
+class TestGappedTruthScoring:
+    """Masks over gapped truth: a never-observed index is imputed but never scored."""
+
+    @pytest.fixture(scope="class")
+    def gapped(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cli-gapped")
+        model = root / "model.json"
+        missingness.save_model(build_injected_model(), model)
+        assert run("synth", "--days", 4, "--noise-std", 1.0, "--seed", 5,
+                   "--gap-model", model, "--gap-seed", 3, "--out", root) == 0
+        cgm = root / "cgm_gapped.csv"
+        entries, scored = [], {}
+        for ep in core.ingest_csv(cgm, 240):
+            observed = np.flatnonzero(ep.observed)
+            bits = ep.observed.copy()  # hides every never-observed index
+            picks = observed[[observed.size // 3, 2 * observed.size // 3]]
+            bits[picks] = 0  # and two observed ones
+            entries.append((ep.patient_id, ep.episode_id, masks.Mask(bits)))
+            scored[(ep.patient_id, ep.episode_id)] = (ep.glucose[picks], picks)
+        # some episode hides never-observed indices besides its two picks
+        assert any((mask.bits == 0).sum() > 2 for _, _, mask in entries)
+        masks_path = root / "masks.json"
+        masks.write_masks_json(entries, masks_path)
+        lerp = root / "lerp.csv"
+        assert run("impute", "--input", cgm, "--masks", masks_path, "--method", "lerp",
+                   "--out", lerp) == 0
+        return {"root": root, "cgm": cgm, "masks": masks_path, "lerp": lerp, "scored": scored}
+
+    @staticmethod
+    def _lerp_values(path):
+        values = {}
+        for line in path.read_text().splitlines()[1:]:
+            patient, episode, t, value, _ = line.split(",")
+            values.setdefault((patient, int(episode)), []).append(float(value))
+        return {key: np.array(v) for key, v in values.items()}
+
+    def test_evaluate_scores_observed_hidden_samples_only(self, gapped, tmp_path):
+        out = tmp_path / "eval"
+        assert run("evaluate", "--input", gapped["cgm"], "--imputed", gapped["lerp"],
+                   "--masks", gapped["masks"], "--out", out) == 0
+        for name in ("report.json", "table.txt"):
+            assert "nan" not in (out / name).read_text().lower()
+        (group,) = json.loads((out / "report.json").read_text())["groups"]
+        imputed = self._lerp_values(gapped["lerp"])
+        rmse = [
+            float(np.sqrt(np.mean((imputed[key][picks] - truth) ** 2)))
+            for key, (truth, picks) in gapped["scored"].items()
+        ]
+        assert group["n_episodes"] == len(gapped["scored"])
+        assert group["rmse"] == pytest.approx(float(np.mean(rmse)), rel=1e-12)
+
+    def test_calibrate_pools_observed_hidden_samples_only(self, gapped, tmp_path):
+        out = tmp_path / "cal"
+        assert run("calibrate", "--input", gapped["cgm"], "--imputed", gapped["lerp"],
+                   "--masks", gapped["masks"], "--out", out) == 0
+        for name in ("calibration.json", "calibration_lerp.csv"):
+            assert "nan" not in (out / name).read_text().lower()
+        (summary,) = json.loads((out / "calibration.json").read_text())["summaries"]
+        truth = np.concatenate([truth for truth, _ in gapped["scored"].values()])
+        assert summary["n_points"] == truth.size == 2 * len(gapped["scored"])
+        assert summary["truth_mean"] == pytest.approx(float(truth.mean()), rel=1e-12)
+
+
 class TestWorkerCap:
     def test_invalid_thread_cap_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REGIME_BENCH_THREADS", "zero")

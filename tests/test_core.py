@@ -16,12 +16,11 @@ from regime_bench.core import (
     export_csv,
     export_inputs,
     ingest_csv,
-    linear_fill,
+    split_mask,
     time_encoding,
 )
 from regime_bench.errors import (
     DimensionError,
-    EmptyEpisodeError,
     IntegrityError,
     OrderingError,
     ParseError,
@@ -289,49 +288,6 @@ class TestExportRoundTrip:
             assert next_start - prev_end > threshold
 
 
-class TestLinearFill:
-    def test_interior_interpolation(self):
-        ep = make_episode([100, np.nan, np.nan, 130])
-        filled = linear_fill(ep)
-        assert filled.glucose.tolist() == [100, 110, 120, 130]
-        assert filled.observed.all()
-
-    def test_identity_on_complete(self):
-        ep = make_episode([100, 105, 110])
-        filled = linear_fill(ep)
-        assert episodes_equal(ep, filled)
-
-    def test_edges_trimmed(self):
-        ep = make_episode([np.nan, 90, np.nan, 90, np.nan])
-        filled = linear_fill(ep)
-        assert filled.glucose.tolist() == [90, 90, 90]
-        assert filled.start_minute == 5
-        assert filled.T == 3
-
-    def test_empty_episode_rejected(self):
-        ep = make_episode([np.nan, np.nan])
-        with pytest.raises(EmptyEpisodeError):
-            linear_fill(ep)
-
-    @given(st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_observed_values_preserved_bit_exact(self, data):
-        values = data.draw(
-            st.lists(
-                st.one_of(st.none(), st.floats(min_value=25, max_value=450)),
-                min_size=2,
-                max_size=40,
-            ).filter(lambda v: any(x is not None for x in v))
-        )
-        glucose = [np.nan if v is None else v for v in values]
-        ep = make_episode(glucose)
-        filled = linear_fill(ep)
-        offset = int(np.flatnonzero(ep.observed)[0])
-        for t in range(ep.T):
-            if ep.observed[t]:
-                assert filled.glucose[t - offset] == ep.glucose[t]
-
-
 class TestTimeEncoding:
     def test_midnight(self):
         sin_t, cos_t = time_encoding(0)
@@ -415,6 +371,35 @@ class TestBuildInputs:
         assert lines[0] == "t,masked_glucose,carbs,bolus,basal,sin_t,cos_t"
         assert lines[1].startswith("0,100.0,")
         assert lines[2].startswith("1,0.0,")
+
+
+class TestSplitMask:
+    def test_complete_truth_scores_the_hidden_bits(self):
+        bits = np.array([1, 0, 0, 1, 0], dtype=np.uint8)
+        retained, scored = split_mask(bits, np.ones(5, dtype=np.uint8))
+        assert retained.tolist() == [True, False, False, True, False]
+        assert scored.tolist() == (bits == 0).tolist()
+
+    def test_never_observed_index_in_neither_set(self):
+        observed = np.array([1, 0, 1, 1], dtype=np.uint8)
+        retained, scored = split_mask(np.array([1, 0, 0, 1]), observed)
+        assert retained.tolist() == [True, False, False, True]
+        assert scored.tolist() == [False, False, True, False]
+
+    def test_retaining_never_observed_index_rejected(self):
+        with pytest.raises(IntegrityError, match="retains an index with no ground-truth"):
+            split_mask(np.array([1, 1]), np.array([1, 0]))
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionError, match="mask length 3 != episode length 2"):
+            split_mask(np.ones(3), np.ones(2))
+
+    def test_build_inputs_rejects_retained_never_observed_index(self):
+        ep = make_episode([100.0, np.nan])
+        with pytest.raises(IntegrityError):
+            build_inputs(ep, Mask(np.ones(2, dtype=np.uint8)))
+        inputs = build_inputs(ep, Mask(np.array([1, 0], dtype=np.uint8)))
+        assert inputs[:, 0].tolist() == [100.0, 0.0]
 
 
 class TestEpisodeInvariants:

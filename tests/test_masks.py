@@ -144,6 +144,11 @@ class TestApplyMask:
         with pytest.raises(IntegrityError):
             mk.apply_mask(ep, Mask(np.array([1, 0, 1], dtype=np.uint8)))
 
+    def test_retaining_unobserved_rejected(self):
+        ep = make_episode([100.0, np.nan, 120.0])
+        with pytest.raises(IntegrityError, match="retains an index"):
+            mk.apply_mask(ep, Mask(np.array([1, 1, 0], dtype=np.uint8)))
+
 
 class TestRunLengthEncoding:
     @given(bits=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=100))

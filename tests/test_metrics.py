@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_dtw, table_dtw
+from helpers import (
+    brute_force_dtw,
+    masked_pairs_pooled_calibration,
+    masked_pairs_score_episode,
+    table_dtw,
+)
 from regime_bench import metrics as mt
-from regime_bench.errors import MetricDomainError
+from regime_bench.errors import IntegrityError, MetricDomainError
 from regime_bench.masks import Mask
 
 
@@ -246,6 +251,96 @@ class TestCalibration:
         )
         assert pooled.truth_mean == pytest.approx(direct.truth_mean)
         assert pooled.delta == pytest.approx(direct.delta)
+
+
+class TestGappedTruth:
+    """Truth NaN marks a never-observed index: imputed, never scored, never retained."""
+
+    def test_never_observed_hidden_index_not_scored(self):
+        truth = np.array([100.0, np.nan, 120.0, 130.0, 140.0])
+        imputed = np.array([100.0, 110.0, 125.0, 130.0, 150.0])
+        report = mt.score_episode(truth, imputed, mask_of([1, 0, 0, 1, 0]))
+        assert (report.n_points, report.n_gaps) == (2, 2)
+        assert report.bias == 7.5
+        assert report.dtw == 5.0 + 10.0
+
+    def test_hidden_run_split_by_never_observed_index(self):
+        truth = np.array([100.0, 110.0, np.nan, 130.0, 140.0])
+        cost = mt.segment_dtw(truth, truth + 1.0, mask_of([1, 0, 0, 0, 1]))
+        assert cost == 2.0
+
+    def test_only_never_observed_hidden_has_nothing_to_score(self):
+        truth = np.array([100.0, np.nan, 120.0])
+        with pytest.raises(MetricDomainError):
+            mt.pointwise_metrics(truth, np.full(3, 110.0), mask_of([1, 0, 1]))
+        with pytest.raises(MetricDomainError):
+            mt.pooled_calibration([(truth, np.full(3, 110.0), mask_of([1, 0, 1]))])
+
+    def test_calibration_pools_observed_hidden_only(self):
+        truth = np.array([np.nan, 60.0, np.nan, 100.0])
+        summary = mt.pooled_calibration([(truth, np.full(4, 80.0), mask_of([0, 0, 0, 1]))])
+        assert summary.n_points == 1
+        assert summary.truth_mean == 60.0
+
+    def test_retained_never_observed_index_rejected(self):
+        truth = np.array([100.0, np.nan, 120.0])
+        with pytest.raises(IntegrityError, match="retains an index"):
+            mt.score_episode(truth, np.full(3, 110.0), mask_of([0, 1, 1]))
+
+
+# complete truth: the core split's scored set is exactly the hidden bits, so the
+# metrics must match the hidden-bits oracles by repr, or raise the same error type
+_truth_values = st.one_of(
+    st.floats(min_value=20.0, max_value=500.0),
+    st.sampled_from([70.0, 140.0, 100.0]),
+    st.sampled_from([0.0, -5.0]),  # non-positive truth: MARD's domain error
+)
+_imputed_values = st.one_of(
+    st.floats(min_value=-100.0, max_value=700.0),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def _complete_triples(draw):
+    T = draw(st.integers(min_value=1, max_value=30))
+    kind = draw(st.sampled_from(["random", "none-hidden", "all-hidden", "single-sample-runs"]))
+    if kind == "random":
+        bits = draw(st.lists(st.integers(0, 1), min_size=T, max_size=T))
+    else:
+        bits = {"none-hidden": [1] * T, "all-hidden": [0] * T,
+                "single-sample-runs": [t % 2 for t in range(T)]}[kind]
+    truth = draw(st.lists(_truth_values, min_size=T, max_size=T))
+    imputed = draw(st.lists(_imputed_values, min_size=T, max_size=T))
+    return np.array(truth), np.array(imputed), mask_of(bits)
+
+
+def _outcome(fn, *args):
+    try:
+        with np.errstate(all="ignore"):
+            return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the error type is the outcome
+        return type(exc)
+
+
+_REGIME_FILTERS = [None, lambda y: y < 70.0, lambda y: y > 140.0]
+
+
+class TestSplitParityOnCompleteTruth:
+    @given(triple=_complete_triples())
+    @settings(max_examples=200, deadline=None)
+    def test_score_episode_matches_hidden_bits_oracle(self, triple):
+        assert _outcome(mt.score_episode, *triple) == _outcome(masked_pairs_score_episode, *triple)
+
+    @given(
+        triples=st.lists(_complete_triples(), min_size=1, max_size=3),
+        regime=st.sampled_from(range(len(_REGIME_FILTERS))),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pooled_calibration_matches_hidden_bits_oracle(self, triples, regime):
+        regime_filter = _REGIME_FILTERS[regime]
+        assert (_outcome(mt.pooled_calibration, triples, regime_filter)
+                == _outcome(masked_pairs_pooled_calibration, triples, regime_filter))
 
 
 def report(**kwargs):
