@@ -35,7 +35,8 @@ def _worker_cap() -> int:
 def _load_pairs(args):
     """Ingest --input and read --masks; returns (mask metadata, [(episode, mask), ...]).
 
-    The mask file defines the episode set, in sorted key order.
+    The mask file defines the episode set, in sorted key order. Each pair must
+    pass the pairing rule of core.split_mask; its error gains the episode's key.
     """
     episodes = ingest_csv(args.input, args.partition_gap)
     meta, mask_map = masks.read_masks_json(args.masks)
@@ -46,10 +47,10 @@ def _load_pairs(args):
         if ep is None:
             raise CoverageError(f"mask references unknown episode {key[0]}/{key[1]}")
         mask = mask_map[key]
-        if mask.T != ep.T:
-            raise CoverageError(
-                f"mask length {mask.T} != episode length {ep.T} for {key[0]}/{key[1]}"
-            )
+        try:
+            split_mask(mask.bits, ep.observed)
+        except RegimeBenchError as exc:
+            raise type(exc)(f"{exc} for {key[0]}/{key[1]}") from exc
         pairs.append((ep, mask))
     return meta, pairs
 
@@ -92,11 +93,8 @@ def cmd_synth(args) -> int:
     if args.gap_model is not None:
         # additionally emit a realistically gapped copy, for fitting exercises
         model = missingness.load_model(args.gap_model)
-        gapped = []
-        for ep in result.episodes:
-            seed = masks.derive_seed(args.gap_seed, ep.patient_id, ep.episode_id)
-            mask = masks.generate_mask(ep.T, ep.start_time_of_day, model, seed)
-            gapped.append(masks.apply_mask(ep, mask))
+        samples = masks.sample_masks(result.episodes, model, args.gap_seed)
+        gapped = [masks.apply_mask(ep, mask) for ep, mask in zip(result.episodes, samples)]
         gapped_path = Path(args.out) / "cgm_gapped.csv"
         export_csv(gapped, gapped_path)
         print(gapped_path)
@@ -120,12 +118,8 @@ def cmd_fit(args) -> int:
 def cmd_mask(args) -> int:
     episodes = ingest_csv(args.input, args.partition_gap)
     model = missingness.load_model(args.model)
-    entries = []
-    for ep in episodes:
-        seed = masks.derive_seed(args.seed, ep.patient_id, ep.episode_id)
-        entries.append(
-            (ep.patient_id, ep.episode_id, masks.generate_mask(ep.T, ep.start_time_of_day, model, seed))
-        )
+    samples = masks.sample_masks(episodes, model, args.seed)
+    entries = [(ep.patient_id, ep.episode_id, mask) for ep, mask in zip(episodes, samples)]
     masks.write_masks_json(entries, args.out, provenance="empirical", condition=f"seed={args.seed}")
     print(args.out)
     return 0
@@ -204,7 +198,7 @@ def cmd_evaluate(args) -> int:
     if skipped:
         print(f"evaluate: skipped {skipped} of {len(pairs)} episodes with no masked samples",
               file=sys.stderr)
-    rows = metrics.aggregate(entries)
+    rows = metrics.aggregate(entries) if entries else []
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"

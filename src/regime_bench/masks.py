@@ -84,8 +84,8 @@ def _trunc_norm_ppf(u: float, mu: float, sigma: float) -> float:
     return mu + sigma * float(ndtri(p))
 
 
-def sample_duration(model: MissingnessModel, regime: str, rng: np.random.Generator) -> int:
-    """Draw one sustained-gap duration in minutes (grid-aligned, in [10, 240])."""
+def sample_duration(model: MissingnessModel, regime: str, rng) -> int:
+    """Draw one sustained-gap duration in minutes (grid-aligned, in [10, 240]) from a numpy Generator."""
     mix = model.regime_model(regime).mixture
     u = rng.random()
     v = rng.random()
@@ -113,9 +113,7 @@ def sampled_duration_pmf(mixture: DurationMixture) -> tuple[np.ndarray, np.ndarr
     return grid, probs
 
 
-def generate_mask(
-    T: int, start_time_of_day: int, model: MissingnessModel, seed
-) -> Mask:
+def generate_mask(T: int, start_time_of_day: int, model: MissingnessModel, seed: int) -> Mask:
     """Walk the hourly Bernoulli onset process and carve gaps (Algorithm-1 style).
 
     Hours consumed by a gap are skipped; the walk resumes at the first index
@@ -124,8 +122,7 @@ def generate_mask(
     """
     if T < 1:
         raise DimensionError("mask length must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    seed_value = seed if isinstance(seed, (int, np.integer)) else 0
+    rng = np.random.default_rng(seed)
     onset = model.onset_prob
     runs, events = [], []
     t = 0
@@ -149,7 +146,16 @@ def generate_mask(
         else:
             t = t_next
     bits = runs_to_bits(T, runs)
-    return Mask(bits, seed=int(seed_value), provenance="empirical", events=tuple(events))
+    return Mask(bits, seed=int(seed), provenance="empirical", events=tuple(events))
+
+
+def sample_masks(episodes, model: MissingnessModel, master_seed: int) -> list[Mask]:
+    """One generated mask per episode, each seeded by derive_seed from master_seed."""
+    return [
+        generate_mask(ep.T, ep.start_time_of_day, model,
+                      derive_seed(master_seed, ep.patient_id, ep.episode_id))
+        for ep in episodes
+    ]
 
 
 def apply_mask(episode: Episode, mask: Mask) -> Episode:

@@ -180,6 +180,14 @@ def pooled_calibration(triples, regime_filter=None) -> CalibrationSummary:
     return _summarize(y, y_hat)
 
 
+def _by_scenario(rows: list[dict]) -> dict[tuple, list[dict]]:
+    """Rows grouped by (protocol, condition), each group in row order."""
+    groups: dict[tuple, list[dict]] = {}
+    for row in rows:
+        groups.setdefault((row["protocol"], row["condition"]), []).append(row)
+    return groups
+
+
 def aggregate(entries) -> list[dict]:
     """Mean metrics per (model, protocol, condition) group with ranking flags.
 
@@ -208,10 +216,7 @@ def aggregate(entries) -> list[dict]:
         row["best"] = []
         row["second"] = []
         rows.append(row)
-    by_scenario: dict[tuple, list[dict]] = {}
-    for row in rows:
-        by_scenario.setdefault((row["protocol"], row["condition"]), []).append(row)
-    for scenario_rows in by_scenario.values():
+    for scenario_rows in _by_scenario(rows).values():
         for field in METRIC_FIELDS:
             ranking = sorted(
                 scenario_rows,
@@ -232,11 +237,8 @@ def render_table(rows: list[dict]) -> str:
     if not rows:
         return "(no results)\n"
     lines = []
-    by_scenario: dict[tuple, list[dict]] = {}
-    for row in rows:
-        by_scenario.setdefault((row["protocol"], row["condition"]), []).append(row)
     header = f"{'model':<12}" + "".join(f"{name.upper():>12}" for name in METRIC_FIELDS) + f"{'episodes':>10}"
-    for (protocol, condition), scenario_rows in sorted(by_scenario.items()):
+    for (protocol, condition), scenario_rows in sorted(_by_scenario(rows).items()):
         lines.append(f"protocol={protocol} condition={condition}")
         lines.append(header)
         for row in scenario_rows:

@@ -191,21 +191,17 @@ def fit_duration_density(
     values: np.ndarray,
     max_nfev: int = 20000,
 ) -> DurationMixture:
-    """Bounded nonlinear least squares for the three-component duration density."""
+    """Bounded nonlinear least squares for the three-component duration density.
+
+    The fitted curve is ``DurationMixture.density``, so centers belong on the
+    sustained support [10, 240], where its uniform floor applies.
+    """
     from scipy.optimize import least_squares
 
     centers = np.asarray(centers, dtype=float)
     values = np.asarray(values, dtype=float)
     if centers.shape != values.shape or centers.size == 0:
         raise FitError("centers and values must be aligned, non-empty vectors")
-
-    def model(theta):
-        a, k, b, mu, sigma, gamma = theta
-        return (
-            a * np.exp(-k * (centers - DELTA_MIN_SUSTAINED))
-            + b * np.exp(-((centers - mu) ** 2) / (2.0 * sigma**2))
-            + gamma
-        )
 
     near_120 = int(np.argmin(np.abs(centers - 120.0)))
     x0 = np.array(
@@ -215,7 +211,8 @@ def fit_duration_density(
     ub = np.array([np.inf, 1.0, np.inf, DELTA_MAX, 120.0, np.inf])
     x0 = np.clip(x0, lb, ub)
     result = least_squares(
-        lambda th: model(th) - values, x0, bounds=(lb, ub), max_nfev=max_nfev
+        lambda th: DurationMixture(*th, 0.0, 0.0, 0.0).density(centers) - values,
+        x0, bounds=(lb, ub), max_nfev=max_nfev,
     )
     if result.status <= 0:
         raise ConvergenceError(

@@ -88,7 +88,7 @@ def find_stable_windows(
     """
     if not episode.fully_observed():
         raise IntegrityError("stable-window detection requires complete glucose")
-    grad = np.abs(gradient(episode))
+    grad = np.abs(gradient_of(episode.glucose))
     washout = criteria.washout_minutes // 5
     if washout < 0:
         raise DimensionError(f"washout_minutes must be >= 0, got {criteria.washout_minutes}")
@@ -111,25 +111,16 @@ def find_stable_windows(
     return [RegimeWindow("A", s, s + WINDOW_SAMPLES_A) for s in starts[keep].tolist()]
 
 
-def _max_disjoint(windows: list[RegimeWindow]) -> int:
-    # classic interval scheduling: earliest end first
-    count, cursor = 0, -1
-    for w in sorted(windows, key=lambda w: w.end_index):
-        if w.start_index >= cursor:
-            count += 1
-            cursor = w.end_index
-    return count
-
-
 def _greedy_select(windows, order, needed: int, T: int) -> list[RegimeWindow]:
+    """Up to ``needed`` pairwise disjoint windows, each taken in ``order`` if it fits."""
     chosen, occupied = [], np.zeros(T, dtype=bool)
     for idx in order:
+        if len(chosen) == needed:
+            break
         w = windows[idx]
         if not occupied[w.start_index : w.end_index].any():
             chosen.append(w)
             occupied[w.start_index : w.end_index] = True
-            if len(chosen) == needed:
-                break
     return chosen
 
 
@@ -144,7 +135,10 @@ def allocate_stationary_mask(
 
     Full windows are drawn at random (seeded) from the non-overlapping
     candidates; a residual of r samples masks the first r samples of one
-    extra window.
+    extra window. When the random order finds too few disjoint windows, the
+    earliest-end selection is used; when that one finds too few, no
+    selection can, and AllocationError names the episode and the ceiling.
+    A target of 0 samples selects no window.
     """
     if not 0.0 < ratio < 1.0:
         raise AllocationError(f"ratio must be in (0, 1), got {ratio}")
@@ -152,18 +146,19 @@ def allocate_stationary_mask(
     target = int(np.floor(ratio * T + 0.5))
     n_full, residual = divmod(target, WINDOW_SAMPLES_A)
     needed = n_full + (1 if residual else 0)
-    capacity = _max_disjoint(windows)
-    if capacity < needed:
-        achievable = capacity * WINDOW_SAMPLES_A / T
+    # earliest end first is optimal interval scheduling: short of needed, it is the capacity
+    by_end = np.argsort([w.end_index for w in windows], kind="stable")
+    earliest = _greedy_select(windows, by_end, needed, T)
+    if len(earliest) < needed:
+        achievable = len(earliest) * WINDOW_SAMPLES_A / T
         raise AllocationError(
-            f"only {capacity} disjoint stable windows; achievable ratio <= {achievable:.4f}"
+            f"episode {episode.patient_id}/{episode.episode_id} has only {len(earliest)} "
+            f"disjoint stable windows; achievable ratio <= {achievable:.4f}"
         )
     rng = np.random.default_rng(seed)
     chosen = _greedy_select(windows, rng.permutation(len(windows)), needed, T)
-    if len(chosen) < needed:
-        # random maximal set fell short of the optimum; use earliest-end order
-        order = np.argsort([w.end_index for w in windows], kind="stable")
-        chosen = _greedy_select(windows, order, needed, T)
+    if len(chosen) < needed:  # the random maximal set fell short of the optimum
+        chosen = earliest
     runs = _runs(chosen[:n_full])
     if residual:
         runs.append((chosen[n_full].start_index, residual))

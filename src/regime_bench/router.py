@@ -26,6 +26,12 @@ class RoutingDecision:
     right_boundary: float | None
 
 
+def _context(episode: Episode, outward: np.ndarray) -> np.ndarray:
+    """Glucose along ``outward``, indices ordered away from a gap, up to the first unobserved one."""
+    kept = episode.observed[outward] != 0
+    return episode.glucose[outward[: kept.size if kept.all() else int(kept.argmin())]]
+
+
 def classify_gap(
     episode: Episode,
     gap: tuple[int, int],
@@ -41,29 +47,15 @@ def classify_gap(
     start, length = gap
     end = start + length
     n_ctx = max(1, context_minutes // 5)
-    observed = episode.observed.astype(bool)
-    g = episode.glucose
+    left = _context(episode, np.arange(start - 1, max(start - n_ctx, 0) - 1, -1))[::-1]
+    right = _context(episode, np.arange(end, min(end + n_ctx, episode.T)))
+    gradients = [np.abs(gradient_of(span)) for span in (left, right) if span.size >= 2]
+    left_boundary = float(left[-1]) if left.size else None
+    right_boundary = float(right[0]) if right.size else None
 
-    left = []
-    i = start - 1
-    while i >= 0 and i >= start - n_ctx and observed[i]:
-        left.append(float(g[i]))
-        i -= 1
-    left.reverse()
-    right = []
-    i = end
-    while i < episode.T and i < end + n_ctx and observed[i]:
-        right.append(float(g[i]))
-        i += 1
-
-    gradients = []
-    for span in (left, right):
-        if len(span) >= 2:
-            gradients.extend(np.abs(gradient_of(np.array(span))))
-    left_boundary = left[-1] if left else None
-    right_boundary = right[0] if right else None
-
-    fraction = float(np.mean(np.array(gradients) < criteria.gradient_threshold)) if gradients else 0.0
+    fraction = (
+        float(np.mean(np.concatenate(gradients) < criteria.gradient_threshold)) if gradients else 0.0
+    )
     boundaries = [b for b in (left_boundary, right_boundary) if b is not None]
     euglycemic = bool(boundaries) and all(
         criteria.glucose_low <= b <= criteria.glucose_high for b in boundaries

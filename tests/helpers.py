@@ -5,9 +5,18 @@ import math
 import numpy as np
 
 from regime_bench import metrics
-from regime_bench.core import Episode, bits_to_runs
-from regime_bench.errors import IntegrityError, MetricDomainError
-from regime_bench.protocols import WINDOW_SAMPLES_A, RegimeWindow, StabilityCriteria, gradient
+from regime_bench.core import Episode, bits_to_runs, runs_to_bits
+from regime_bench.errors import AllocationError, ConvergenceError, IntegrityError, MetricDomainError
+from regime_bench.masks import Mask
+from regime_bench.missingness import DELTA_MAX, DELTA_MIN_SUSTAINED, make_mixture
+from regime_bench.protocols import (
+    WINDOW_SAMPLES_A,
+    RegimeWindow,
+    StabilityCriteria,
+    gradient,
+    gradient_of,
+)
+from regime_bench.router import RoutingDecision
 
 
 def make_episode(
@@ -169,4 +178,129 @@ def masked_pairs_pooled_calibration(triples, regime_filter=None):
         truth_hist=np.histogram(np.clip(y, 20.0, 500.0), bins=edges)[0],
         imputed_hist=np.histogram(np.clip(y_hat, 20.0, 500.0), bins=edges)[0],
         n_points=int(y.size),
+    )
+
+
+def max_disjoint(windows):
+    """Largest number of pairwise disjoint windows (earliest end first)."""
+    count, cursor = 0, -1
+    for w in sorted(windows, key=lambda w: w.end_index):
+        if w.start_index >= cursor:
+            count += 1
+            cursor = w.end_index
+    return count
+
+
+def _pick_then_check(windows, order, needed, T):
+    chosen, occupied = [], np.zeros(T, dtype=bool)
+    for idx in order:
+        w = windows[idx]
+        if not occupied[w.start_index : w.end_index].any():
+            chosen.append(w)
+            occupied[w.start_index : w.end_index] = True
+            if len(chosen) == needed:
+                break
+    return chosen
+
+
+def max_disjoint_allocate_stationary_mask(episode, windows, ratio, seed):
+    """allocate_stationary_mask as it was with a separate capacity count.
+
+    The oracle for the one earliest-end greedy on every target of at least
+    one sample; its error names no episode.
+    """
+    if not 0.0 < ratio < 1.0:
+        raise AllocationError(f"ratio must be in (0, 1), got {ratio}")
+    T = episode.T
+    target = int(np.floor(ratio * T + 0.5))
+    n_full, residual = divmod(target, WINDOW_SAMPLES_A)
+    needed = n_full + (1 if residual else 0)
+    capacity = max_disjoint(windows)
+    if capacity < needed:
+        achievable = capacity * WINDOW_SAMPLES_A / T
+        raise AllocationError(
+            f"only {capacity} disjoint stable windows; achievable ratio <= {achievable:.4f}"
+        )
+    rng = np.random.default_rng(seed)
+    chosen = _pick_then_check(windows, rng.permutation(len(windows)), needed, T)
+    if len(chosen) < needed:
+        order = np.argsort([w.end_index for w in windows], kind="stable")
+        chosen = _pick_then_check(windows, order, needed, T)
+    runs = [(w.start_index, w.end_index - w.start_index) for w in chosen[:n_full]]
+    if residual:
+        runs.append((chosen[n_full].start_index, residual))
+    return Mask(runs_to_bits(T, runs), seed=seed, provenance="protocol_A"), chosen
+
+
+def closure_density(theta, centers):
+    """The duration-density closure fit_duration_density used to carry; a bitwise oracle."""
+    a, k, b, mu, sigma, gamma = theta
+    return (
+        a * np.exp(-k * (centers - DELTA_MIN_SUSTAINED))
+        + b * np.exp(-((centers - mu) ** 2) / (2.0 * sigma**2))
+        + gamma
+    )
+
+
+def closure_fit_duration_density(centers, values, max_nfev=20000):
+    """fit_duration_density on the closure; the oracle for the fit on the support."""
+    from scipy.optimize import least_squares
+
+    centers = np.asarray(centers, dtype=float)
+    values = np.asarray(values, dtype=float)
+    near_120 = int(np.argmin(np.abs(centers - 120.0)))
+    x0 = np.array(
+        [values.max(), 0.02, max(values[near_120], 1e-12), 120.0, 20.0, values.min()]
+    )
+    lb = np.array([0.0, 1e-6, 0.0, DELTA_MIN_SUSTAINED, 1e-6, 0.0])
+    ub = np.array([np.inf, 1.0, np.inf, DELTA_MAX, 120.0, np.inf])
+    x0 = np.clip(x0, lb, ub)
+    result = least_squares(
+        lambda th: closure_density(th, centers) - values, x0, bounds=(lb, ub), max_nfev=max_nfev
+    )
+    if result.status <= 0:
+        raise ConvergenceError("duration fit did not converge")
+    return make_mixture(*(float(v) for v in result.x))
+
+
+def loop_classify_gap(episode, gap, criteria=StabilityCriteria(), context_minutes=30):
+    """classify_gap as two mirrored sample-by-sample walks; the oracle for the array walk."""
+    start, length = gap
+    end = start + length
+    n_ctx = max(1, context_minutes // 5)
+    observed = episode.observed.astype(bool)
+    g = episode.glucose
+
+    left = []
+    i = start - 1
+    while i >= 0 and i >= start - n_ctx and observed[i]:
+        left.append(float(g[i]))
+        i -= 1
+    left.reverse()
+    right = []
+    i = end
+    while i < episode.T and i < end + n_ctx and observed[i]:
+        right.append(float(g[i]))
+        i += 1
+
+    gradients = []
+    for span in (left, right):
+        if len(span) >= 2:
+            gradients.extend(np.abs(gradient_of(np.array(span))))
+    left_boundary = left[-1] if left else None
+    right_boundary = right[0] if right else None
+
+    fraction = float(np.mean(np.array(gradients) < criteria.gradient_threshold)) if gradients else 0.0
+    boundaries = [b for b in (left_boundary, right_boundary) if b is not None]
+    euglycemic = bool(boundaries) and all(
+        criteria.glucose_low <= b <= criteria.glucose_high for b in boundaries
+    )
+    stationary = bool(gradients) and fraction >= criteria.gradient_quorum and euglycemic
+    return RoutingDecision(
+        start_index=start,
+        length=length,
+        label="stationary" if stationary else "transient",
+        gradient_fraction=fraction,
+        left_boundary=left_boundary,
+        right_boundary=right_boundary,
     )

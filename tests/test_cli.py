@@ -653,3 +653,83 @@ class TestScipyLoadedOnlyWhereCalled:
         )
         assert _scipy_modules_after(code) == "[]"
         assert (tmp_path / "eval" / "report.json").exists()
+
+
+@pytest.fixture(scope="module")
+def two_days(tmp_path_factory):
+    """A 2-day fixture with 28 disjoint stable windows in episode 0."""
+    root = tmp_path_factory.mktemp("cli-two-days")
+    assert run("synth", "--days", 2, "--noise-std", 1, "--seed", 3, "--out", root) == 0
+    return root
+
+
+class TestProtocolAEdges:
+    def test_zero_sample_target_masks_and_selects_nothing(self, two_days, tmp_path):
+        out = tmp_path / "A"
+        assert run("stress", "--input", two_days / "cgm.csv", "--protocol", "A",
+                   "--ratio", 0.001, "--seed", 1, "--out", out) == 0
+        assert json.loads((out / "windows.json").read_text())["windows"] == []
+        records = json.loads((out / "masks.json").read_text())["masks"]
+        assert records and all(rec["gaps"] == [] for rec in records)
+
+    def test_capacity_error_names_the_episode(self, two_days, tmp_path, capsys):
+        assert run("stress", "--input", two_days / "cgm.csv", "--protocol", "A",
+                   "--ratio", 0.6, "--seed", 1, "--out", tmp_path / "A") == 1
+        assert capsys.readouterr().err == (
+            "error: episode synth-001/0 has only 28 disjoint stable windows; "
+            "achievable ratio <= 0.5833\n"
+        )
+
+
+class TestEvaluateNothingScored:
+    def test_stderr_is_the_skip_line_only(self, two_days, tmp_path):
+        cgm, stress, lerp = two_days / "cgm.csv", tmp_path / "A", tmp_path / "lerp.csv"
+        assert run("stress", "--input", cgm, "--protocol", "A", "--ratio", 0.001, "--seed", 1,
+                   "--out", stress) == 0
+        assert run("impute", "--input", cgm, "--masks", stress / "masks.json",
+                   "--method", "lerp", "--out", lerp) == 0
+        out = tmp_path / "eval"
+        argv = ["evaluate", "--input", cgm, "--imputed", lerp, "--masks", stress / "masks.json",
+                "--out", out]
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        code = f"import sys; from regime_bench.cli import main; sys.exit(main({[str(a) for a in argv]!r}))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == "evaluate: skipped 2 of 2 episodes with no masked samples\n"
+        assert json.loads((out / "report.json").read_text())["groups"] == []
+        assert (out / "table.txt").read_text() == "(no results)\n"
+
+
+class TestMaskRetainsNeverObserved:
+    """Empirical masks sampled over gapped data retain indices the truth never observed."""
+
+    @pytest.fixture(scope="class")
+    def sampled(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cli-retained")
+        model = root / "model.json"
+        missingness.save_model(build_injected_model(), model)
+        assert run("synth", "--days", 4, "--noise-std", 1.0, "--seed", 5,
+                   "--gap-model", model, "--gap-seed", 3, "--out", root) == 0
+        cgm = root / "cgm_gapped.csv"
+        assert run("mask", "--input", cgm, "--model", model, "--seed", 1,
+                   "--out", root / "masks.json") == 0
+        episodes = {(ep.patient_id, ep.episode_id): ep for ep in core.ingest_csv(cgm, 240)}
+        _, mask_map = masks.read_masks_json(root / "masks.json")
+        first = next(key for key in sorted(mask_map)
+                     if np.any((mask_map[key].bits != 0) & (episodes[key].observed == 0)))
+        return {"root": root, "cgm": cgm, "masks": root / "masks.json", "first": first}
+
+    @pytest.mark.parametrize("command", ["impute", "route"])
+    def test_error_names_the_episode(self, sampled, tmp_path, capsys, command):
+        capsys.readouterr()
+        extra = ["--method", "lerp", "--out", tmp_path / "out.csv"] if command == "impute" else [
+            "--out", tmp_path / "out"]
+        assert run(command, "--input", sampled["cgm"], "--masks", sampled["masks"], *extra) == 1
+        patient, episode = sampled["first"]
+        assert capsys.readouterr().err == (
+            "error: mask retains an index with no ground-truth observation"
+            f" for {patient}/{episode}\n"
+        )
+        assert patient == "synth-001"

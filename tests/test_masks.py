@@ -222,3 +222,16 @@ class TestDeriveSeed:
         assert s != mk.derive_seed(8, "patient-1", 3)
         assert s != mk.derive_seed(7, "patient-2", 3)
         assert 0 <= s < 2**64
+
+
+class TestSampleMasks:
+    def test_one_mask_per_episode_seeded_per_episode(self, fitted_model):
+        episodes = [make_episode(np.full(T, 100.0), start_minute=m, episode_id=i)
+                    for i, (T, m) in enumerate([(288, 0), (100, 725), (7, 1435)])]
+        got = mk.sample_masks(episodes, fitted_model, 7)
+        assert len(got) == len(episodes)
+        for ep, mask in zip(episodes, got):
+            expected = mk.generate_mask(ep.T, ep.start_time_of_day, fitted_model,
+                                        mk.derive_seed(7, ep.patient_id, ep.episode_id))
+            assert np.array_equal(mask.bits, expected.bits)
+            assert (mask.seed, mask.events) == (expected.seed, expected.events)

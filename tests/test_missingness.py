@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import INJECTED_ONSET, INJECTED_PI_SHORT, build_injected_model, gapped_days
-from helpers import make_episode
+from helpers import closure_density, closure_fit_duration_density, make_episode
 from regime_bench import missingness as mz
 from regime_bench.errors import EstimationError, FitError
 
@@ -272,3 +274,39 @@ class TestEstimationPipeline:
             mix = regime.mixture
             assert mix.w_exp + mix.w_gauss + mix.w_unif == pytest.approx(1.0, abs=1e-9)
             assert min(mix.w_exp, mix.w_gauss, mix.w_unif) >= 0
+
+
+_THETA = st.tuples(
+    st.floats(0.0, 10.0),  # A
+    st.floats(1e-6, 1.0),  # k
+    st.floats(0.0, 10.0),  # B
+    st.floats(mz.DELTA_MIN_SUSTAINED, mz.DELTA_MAX),  # mu
+    st.floats(1e-6, 120.0),  # sigma
+    st.floats(0.0, 1.0),  # gamma
+)
+
+
+class TestDensityParity:
+    """fit_duration_density fits DurationMixture.density, bit for bit the old closure."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _THETA,
+        st.one_of(
+            st.just(mz.BIN_CENTERS),
+            st.lists(st.floats(mz.DELTA_MIN_SUSTAINED, mz.DELTA_MAX), min_size=1, max_size=50)
+            .map(np.array),
+        ),
+    )
+    def test_density_matches_the_closure_bitwise(self, theta, centers):
+        theta = np.array(theta)  # least_squares passes an array
+        got = mz.DurationMixture(*theta, 0.0, 0.0, 0.0).density(centers)
+        assert got.tobytes() == closure_density(theta, centers).tobytes()
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(30, 300))
+    def test_fit_matches_the_closure_fit(self, seed, n):
+        durations = 5 * np.random.default_rng(seed).integers(2, 49, size=n)
+        values = mz.duration_histogram(durations)
+        got = mz.fit_duration_density(mz.BIN_CENTERS, values)
+        assert repr(got) == repr(closure_fit_duration_density(mz.BIN_CENTERS, values))

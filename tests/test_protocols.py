@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import loop_stable_windows, make_episode
+from helpers import (
+    loop_stable_windows,
+    make_episode,
+    max_disjoint,
+    max_disjoint_allocate_stationary_mask,
+)
 from regime_bench import protocols as pr
 from regime_bench import synth
 from regime_bench.errors import (
@@ -447,3 +452,66 @@ class TestWindowAndTcrFiles:
             "p1,0,126,174\n\n   \np1,1,126,174\n"
         )
         assert pr.read_tcr_csv(path) == {("p1", 0): [(126, 174)], ("p1", 1): [(126, 174)]}
+
+
+@st.composite
+def allocation_cases(draw):
+    """A window set of any overlap, lengths around 30 min, and a seeded ratio.
+
+    Most targets need exactly as many windows as fit, where a random order can
+    fall short of the optimum and the earliest-end selection must stand in.
+    """
+    T = draw(st.integers(1, 100))
+    spans = draw(st.lists(
+        st.tuples(st.integers(0, T - 1), st.sampled_from([1, 3, 6, 6, 6, 9, 12])), max_size=30,
+    ))
+    windows = [pr.RegimeWindow("A", s, min(T, s + n)) for s, n in spans]
+    fit = max_disjoint(windows)
+    target = draw(st.integers(max(0, 6 * fit - 5), 6 * fit))
+    if 0 < target < T and draw(st.booleans()):
+        ratio = (target + 0.25) / T
+    else:
+        ratio = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return make_episode(np.full(T, 100.0), episode_id=3), windows, ratio, draw(st.integers(0, 2**32))
+
+
+def _allocation(allocate, episode, windows, ratio, seed):
+    try:
+        mask, chosen = allocate(episode, windows, ratio, seed)
+    except RegimeBenchError as exc:
+        return type(exc), str(exc)
+    return repr(mask.bits.tolist()), mask.seed, mask.provenance, repr(chosen)
+
+
+class TestAllocationParity:
+    """One earliest-end greedy gives the capacity and the fallback of the separate count."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(allocation_cases())
+    def test_matches_the_max_disjoint_oracle(self, case):
+        episode, windows, ratio, seed = case
+        got = _allocation(pr.allocate_stationary_mask, episode, windows, ratio, seed)
+        if int(np.floor(ratio * episode.T + 0.5)) == 0:
+            assert got[3] == "[]"  # nothing to mask selects nothing
+            return
+        expected = _allocation(max_disjoint_allocate_stationary_mask, episode, windows, ratio, seed)
+        if expected[0] is AllocationError:
+            expected = (AllocationError, f"episode p1/3 has {expected[1]}")
+        assert got == expected
+
+
+class TestAllocationEdges:
+    def test_zero_target_selects_no_window(self):
+        ep = flat_day()
+        mask, chosen = pr.allocate_stationary_mask(ep, pr.find_stable_windows(ep), 0.001, seed=7)
+        assert chosen == []
+        assert mask.bits.all()
+
+    def test_capacity_error_names_the_episode(self):
+        ep = make_episode(np.full(288, 100.0), patient_id="p9", episode_id=4)
+        windows = pr.find_stable_windows(ep)[:2]
+        with pytest.raises(AllocationError) as exc:
+            pr.allocate_stationary_mask(ep, windows, 0.3, seed=7)
+        assert str(exc.value) == (
+            "episode p9/4 has only 1 disjoint stable windows; achievable ratio <= 0.0208"
+        )

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import make_episode
+from helpers import loop_classify_gap, make_episode
 from regime_bench import router as rt
 from regime_bench.errors import RoutingError
 from regime_bench.imputers import Imputation, impute_lerp
@@ -161,3 +163,30 @@ class TestAdaptiveImpute:
         doc = json.loads(path.read_text())
         assert doc["summary"]["n_gaps"] == 1
         assert doc["decisions"][0]["label"] == "stationary"
+
+
+@st.composite
+def gap_cases(draw):
+    """A gapped episode, any gap inside it, and router settings."""
+    T = draw(st.integers(1, 60))
+    glucose = draw(st.lists(
+        st.one_of(st.floats(40.0, 300.0), st.sampled_from([70.0, 100.0, 140.0, np.nan])),
+        min_size=T, max_size=T,
+    ))
+    start = draw(st.integers(0, T - 1))
+    length = draw(st.integers(1, T - start))
+    criteria = StabilityCriteria(
+        gradient_threshold=draw(st.sampled_from([0.0, 0.3, 0.6, 2.0])),
+        gradient_quorum=draw(st.sampled_from([0.5, 0.85, 1.0])),
+    )
+    context_minutes = draw(st.sampled_from([0, 4, 5, 10, 30, 60]))
+    return make_episode(glucose), (start, length), criteria, context_minutes
+
+
+class TestClassifyGapParity:
+    @settings(max_examples=250, deadline=None)
+    @given(gap_cases())
+    def test_matches_the_loop_walk(self, case):
+        episode, gap, criteria, context_minutes = case
+        got = rt.classify_gap(episode, gap, criteria, context_minutes)
+        assert repr(got) == repr(loop_classify_gap(episode, gap, criteria, context_minutes))
