@@ -191,13 +191,15 @@ def cmd_evaluate(args) -> int:
     entries = []
     for imputations in _load_imputed(args.imputed, pairs):
         for (ep, mask), imp, score in zip(pairs, imputations, scored):
-            if score:  # an episode with nothing masked has nothing to score
+            if score:  # an episode with no observed sample masked has nothing to score
                 report = metrics.score_episode(ep.glucose, imp.values, mask)
                 entries.append(((imp.method, protocol, condition), report))
-    skipped = scored.count(False)
-    if skipped:
-        print(f"evaluate: skipped {skipped} of {len(pairs)} episodes with no masked samples",
-              file=sys.stderr)
+    hides = [not mask.bits.all() for _, mask in pairs]
+    unobserved = sum(hide and not score for hide, score in zip(hides, scored))
+    for skipped, reason in ((hides.count(False), "with no masked samples"),
+                            (unobserved, "whose masked samples were never observed")):
+        if skipped:
+            print(f"evaluate: skipped {skipped} of {len(pairs)} episodes {reason}", file=sys.stderr)
     rows = metrics.aggregate(entries) if entries else []
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -196,10 +196,26 @@ def ingest_csv(path, partition_gap_minutes: int) -> list[Episode]:
 
     A new episode starts whenever consecutive glucose observations are more
     than partition_gap_minutes apart. Exogenous channels are zero-filled on
-    grid points without an event.
+    grid points without an event. A file in canonical form is read as
+    columns; the row reader reads every other file and raises every error.
     """
     if partition_gap_minutes <= 0:
         raise ParseError("partition_gap_minutes must be positive")
+    rows = _read_columns(path)
+    if rows is None:
+        rows = _read_rows(path)
+    episodes = []
+    for patient in sorted(rows):
+        episodes += _partition(patient, rows[patient], partition_gap_minutes)
+    return episodes
+
+
+def _read_rows(path) -> dict[str, np.ndarray]:
+    """Per patient, its (minute, glucose, carbs, bolus, basal) rows in file order.
+
+    The row reader: it reads any valid file and raises each error with the
+    line that caused it.
+    """
     # per patient, flat in file order: (minute, glucose, carbs, bolus, basal) per row
     rows: defaultdict[str, array] = defaultdict(lambda: array("d"))
     for line_no, row in formats.read_csv(path, CGM_HEADER):
@@ -213,10 +229,35 @@ def ingest_csv(path, partition_gap_minutes: int) -> list[Episode]:
                 f"{path}: line {line_no}: timestamp decreases within patient {parsed[0]!r}"
             )
         table.extend(parsed[1:])
-    episodes = []
-    for patient in sorted(rows):
-        episodes += _partition(patient, np.frombuffer(rows[patient]), partition_gap_minutes)
-    return episodes
+    return {patient: np.frombuffer(table).reshape(-1, 5) for patient, table in rows.items()}
+
+
+def _read_columns(path) -> dict[str, np.ndarray] | None:
+    """The rows of _read_rows from a canonical file, or None to leave the file to it.
+
+    None also stands for every check that fails, so that the row reader
+    raises the error and names the line.
+    """
+    read = formats.read_columns(path, CGM_HEADER, "tiffff")
+    if read is None:
+        return None
+    table, (patients,) = read
+    glucose, exog = table[:, 1], table[:, 2:]
+    present = glucose[~np.isnan(glucose)]
+    exog[np.isnan(exog)] = 0.0  # an empty exogenous field reads as 0
+    if (np.any(present < GLUCOSE_MIN) or np.any(present > GLUCOSE_MAX)
+            or not np.isfinite(exog).all() or np.any(exog < 0)):
+        return None
+    bounds = np.cumsum([0] + [n for _, n in patients]).tolist()
+    parts = defaultdict(list)
+    for (patient, _), lo, hi in zip(patients, bounds, bounds[1:]):
+        parts[patient].append(table[lo:hi])
+    rows = {}
+    for patient, runs in parts.items():
+        rows[patient] = runs[0] if len(runs) == 1 else np.concatenate(runs)
+        if np.any(np.diff(rows[patient][:, 0]) < 0):  # a decreasing timestamp
+            return None
+    return rows
 
 
 def _last_per_cell(cell: np.ndarray, values: np.ndarray, keep: np.ndarray, fill: float):
@@ -229,8 +270,8 @@ def _last_per_cell(cell: np.ndarray, values: np.ndarray, keep: np.ndarray, fill:
 
 
 def _partition(patient: str, rows: np.ndarray, partition_gap_minutes: int) -> list[Episode]:
-    """Episodes from one patient's flat (minute, glucose, carbs, bolus, basal) rows."""
-    minute, glucose, carbs, bolus, basal = rows.reshape(-1, 5).T
+    """Episodes from one patient's (n, 5) (minute, glucose, carbs, bolus, basal) rows."""
+    minute, glucose, carbs, bolus, basal = rows.T
     # round-half-up keeps tie handling deterministic across platforms; grid indices stay
     # floats, which hold any timestamp the reader accepts where an int64 may overflow
     grid = np.floor(minute / GRID_MINUTES + 0.5)
@@ -259,11 +300,22 @@ def _partition(patient: str, rows: np.ndarray, partition_gap_minutes: int) -> li
 
 def export_csv(episodes: list[Episode], path) -> None:
     """Write episodes back to the standard CGM CSV (integer-minute timestamps)."""
-    formats.write_csv(path, CGM_HEADER, _cgm_rows(episodes))
+    episodes = sorted(episodes, key=lambda e: (e.patient_id, e.episode_id))
+    if formats.plain(ep.patient_id for ep in episodes):
+        formats.write_lines(path, CGM_HEADER, map(_cgm_lines, episodes))
+    else:
+        formats.write_csv(path, CGM_HEADER, _cgm_rows(episodes))
+
+
+def _cgm_lines(ep: Episode) -> str:
+    minutes = range(ep.start_minute, ep.minute_at(ep.T), GRID_MINUTES)
+    glucose = ("" if math.isnan(g) else repr(g) for g in ep.glucose.tolist())
+    return "".join(f"{ep.patient_id},{m},{g},{c!r},{b!r},{s!r}\r\n"
+                   for m, g, (c, b, s) in zip(minutes, glucose, ep.exog.tolist()))
 
 
 def _cgm_rows(episodes: list[Episode]):
-    for ep in sorted(episodes, key=lambda e: (e.patient_id, e.episode_id)):
+    for ep in episodes:
         for t in range(ep.T):
             g = ep.glucose[t]
             yield [

@@ -3,6 +3,12 @@
 A JSON document is an object whose first key is ``schema_version``,
 written with ``indent=2`` and a trailing newline. A CSV file starts with a
 fixed header row. Readers name the file in every error they raise.
+
+The large CSV files also have a column path: ``read_columns`` reads a file
+in canonical form block by block into arrays and declines anything else, so
+that the caller's row reader, the only source of errors, reads it instead.
+``write_lines`` writes lines that the caller formats, byte for byte as
+``csv.writer`` would when no field needs quoting.
 """
 
 from __future__ import annotations
@@ -10,6 +16,9 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParseError
 
@@ -69,3 +78,154 @@ def read_csv(path, header: list[str]):
         for line_no, row in enumerate(reader, start=2):
             if row and (len(row) > 1 or row[0].strip()):
                 yield line_no, row
+
+
+def plain(texts) -> bool:
+    """True when csv.writer writes every text as is: none holds ',', '"', '\\r' or '\\n'."""
+    return not any(c in text for text in texts for c in ',"\r\n')
+
+
+def write_lines(path, header: list[str], chunks) -> None:
+    """Write the header row, then each chunk of lines formatted by the caller.
+
+    Each line ends in ``\\r\\n``, as csv.writer ends them; callers use this
+    only for fields that ``plain`` passes, so the bytes equal csv.writer's.
+    """
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(chunks)
+
+
+BLOCK_BYTES = 1 << 17  # larger blocks read no faster and leave the allocator more to keep
+MAX_FIELD_BYTES = 64  # bounds the (lines, width) cells gathered for each field of a block
+MAX_INT_DIGITS = 15  # below 2**53, so every integer is exact in the float64 table
+
+# bytes a canonical file never holds: non-ASCII, NUL, '"', and what str.strip removes
+# apart from the line ends, which the block parser checks itself
+_FORBIDDEN = np.zeros(256, dtype=bool)
+_FORBIDDEN[0x80:] = True
+_FORBIDDEN[[0x00, 0x09, 0x0B, 0x0C, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x22]] = True
+# bytes of a canonical number; 0 pads the gathered cells. Python's float() also takes
+# "nan", "inf", "1_0" and spaces, which must reach the row reader's checks instead
+_NUMBER = np.zeros(256, dtype=bool)
+_NUMBER[list(b"0123456789.eE+-\0")] = True
+_DIGIT = np.zeros(256, dtype=bool)
+_DIGIT[list(b"0123456789\0")] = True
+
+
+def read_columns(path, header: list[str], kinds: str):
+    """Read a CSV file in canonical form as arrays; None when it is not canonical.
+
+    kinds has one letter per column: "t" text, "i" integer, "f" float. The
+    integer and float columns fill one float64 table, in column order, with
+    NaN for an empty float field; each text column comes back as a list of
+    ``(value, rows)`` runs of equal consecutive values. So the result is
+    ``(table, [runs, ...])``.
+
+    Canonical form: the exact header; every line ending in ``\\n``, or every
+    one in ``\\r\\n``, the last one optionally unterminated; at least one
+    data line and no blank line; ASCII only, with no '"', NUL or byte that
+    str.strip removes; exactly one comma per column boundary on every line;
+    fields of at most 64 bytes; non-empty text fields; integers matching
+    ``-?[0-9]{1,15}``; floats of the bytes ``[0-9.eE+-]`` that float() reads.
+    A file in that form reads to the same values through csv.reader. The
+    file is read twice, once to count lines and once in blocks of 128 KiB
+    parsed into the preallocated table, so memory stays at the table plus
+    one block's temporaries.
+    """
+    head = ",".join(header).encode()
+    try:
+        with Path(path).open("rb") as fh:
+            lines = sum(block.count(b"\n") for block in iter(lambda: fh.read(BLOCK_BYTES), b""))
+            fh.seek(0)
+            first = fh.readline(len(head) + 2)
+            if first not in (head + b"\n", head + b"\r\n"):
+                return None
+            crlf = first.endswith(b"\r\n")
+            table = np.empty((lines, kinds.count("i") + kinds.count("f")))
+            runs = [[] for _ in range(kinds.count("t"))]
+            filled, carry = 0, b""
+            while True:
+                data = fh.read(BLOCK_BYTES)
+                buf = carry + data
+                cut = buf.rfind(b"\n") + 1 if data else len(buf)
+                carry = buf[cut:]
+                if len(carry) > BLOCK_BYTES:
+                    return None
+                if cut:
+                    parsed = _parse_block(memoryview(buf)[:cut], crlf, kinds)
+                    if parsed is None:
+                        return None
+                    numbers, texts = parsed
+                    table[filled : filled + len(numbers)] = numbers
+                    filled += len(numbers)
+                    for column, new in zip(runs, texts):
+                        if column and column[-1][0] == new[0][0]:  # a run across the cut
+                            column[-1] = (new[0][0], column[-1][1] + new[0][1])
+                            new = new[1:]
+                        column.extend(new)
+                if not data:
+                    break
+    except OSError:
+        return None
+    if not filled:
+        return None
+    return table[:filled], runs
+
+
+def _parse_block(buf: bytes, crlf: bool, kinds: str):
+    """Numbers ``(m, k)`` and text runs of the whole lines in buf, or None if not canonical."""
+    b = np.frombuffer(buf, dtype=np.uint8)
+    if _FORBIDDEN[b].any():
+        return None
+    newlines = np.flatnonzero(b == 0x0A)
+    ends = newlines - crlf
+    if not np.array_equal(np.flatnonzero(b == 0x0D), ends if crlf else ends[:0]):
+        return None
+    starts = np.append(0, newlines + 1)
+    if b[-1] != 0x0A:  # the file's unterminated last line
+        ends = np.append(ends, b.size)
+    starts = starts[: ends.size]
+    commas = np.flatnonzero(b == 0x2C)
+    per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
+    if np.any(per_line != len(kinds) - 1):  # a blank line has no comma either
+        return None
+    commas = commas.reshape(ends.size, len(kinds) - 1)
+    lo = np.column_stack([starts, commas + 1])
+    width = np.column_stack([commas, ends]) - lo
+    if width.max() > MAX_FIELD_BYTES:
+        return None
+    padded = sliding_window_view(np.append(b, np.zeros(MAX_FIELD_BYTES, np.uint8)),
+                                 MAX_FIELD_BYTES)
+    numbers, texts = np.empty((ends.size, len(kinds) - kinds.count("t"))), []
+    column = 0
+    for j, kind in enumerate(kinds):
+        w = max(int(width[:, j].max()), 1)
+        cells = padded[lo[:, j], :w] * (np.arange(w) < width[:, j, None])
+        strings = cells.view(f"S{w}").ravel()
+        if kind == "t":
+            if not width[:, j].all():
+                return None
+            change = np.flatnonzero(strings[1:] != strings[:-1]) + 1
+            counts = np.diff(np.append(change, strings.size), prepend=0)
+            texts.append([(strings[i].decode("ascii"), n)
+                          for i, n in zip(np.append(0, change).tolist(), counts.tolist())])
+            continue
+        if kind == "i":
+            sign = cells[:, 0] == 0x2D
+            digits = width[:, j] - sign
+            valid = _DIGIT[cells]
+            valid[:, 0] |= sign
+            if not valid.all() or digits.min() < 1 or digits.max() > MAX_INT_DIGITS:
+                return None
+        elif not _NUMBER[cells].all():
+            return None
+        present = width[:, j] > 0
+        try:
+            values = strings[present].astype(np.int64 if kind == "i" else np.float64)
+        except ValueError:  # not a number that int() or float() reads
+            return None
+        numbers[:, column] = np.nan
+        numbers[present, column] = values
+        column += 1
+    return numbers, texts

@@ -84,12 +84,21 @@ BUILTIN_IMPUTERS = {
 
 
 def write_imputations_csv(imputations: list[Imputation], path) -> None:
+    imputations = sorted(imputations, key=lambda i: i.episode_ref)
+    if formats.plain(t for imp in imputations for t in (imp.episode_ref[0], imp.method)):
+        formats.write_lines(path, EXTERNAL_HEADER, map(_imputation_lines, imputations))
+        return
     rows = (
         [*imp.episode_ref, t, repr(float(value)), imp.method]
-        for imp in sorted(imputations, key=lambda i: i.episode_ref)
+        for imp in imputations
         for t, value in enumerate(imp.values)
     )
     formats.write_csv(path, EXTERNAL_HEADER, rows)
+
+
+def _imputation_lines(imp: Imputation) -> str:
+    head = f"{imp.episode_ref[0]},{imp.episode_ref[1]},"
+    return "".join(f"{head}{t},{v!r},{imp.method}\r\n" for t, v in enumerate(imp.values.tolist()))
 
 
 def _read_external_rows(path, lengths: dict[tuple[str, int], int]):
@@ -136,6 +145,9 @@ def load_external(path, pairs: list[tuple[Episode, Mask]]) -> list[Imputation]:
     the result follows their order. Every episode must be fully covered,
     and values at retained indices must echo the observed glucose within 1e-6.
     """
+    columns = _load_external_columns(path, pairs)
+    if columns is not None:
+        return columns
     lengths = {(ep.patient_id, ep.episode_id): ep.T for ep, _ in pairs}
     method, series = _read_external_rows(path, lengths)
     out = []
@@ -162,4 +174,48 @@ def load_external(path, pairs: list[tuple[Episode, Mask]]) -> list[Imputation]:
                 f"by {drift.max():.3g}"
             )
         out.append(Imputation(values, method, key))
+    return out
+
+
+def _load_external_columns(path, pairs: list[tuple[Episode, Mask]]) -> list[Imputation] | None:
+    """load_external's result from a canonical file, or None to leave the file to its rows.
+
+    The file must list each episode's rows in one block and use one method;
+    None also stands for every check that fails, so that the row reader and
+    load_external's own checks raise the error.
+    """
+    read = formats.read_columns(path, EXTERNAL_HEADER, "tiift")
+    if read is None:
+        return None
+    table, (patients, methods) = read
+    if len(methods) != 1:
+        return None
+    episode, t, value = table.T
+    # an episode's block starts wherever the patient or the episode id changes
+    patient_starts = np.cumsum([0] + [n for _, n in patients[:-1]])
+    starts = np.union1d(patient_starts, np.flatnonzero(np.diff(episode)) + 1)
+    ends = np.append(starts[1:], len(table))
+    owners = np.searchsorted(patient_starts, starts, side="right") - 1
+    blocks = {}
+    for lo, hi, owner in zip(starts.tolist(), ends.tolist(), owners.tolist()):
+        key = (patients[owner][0], int(episode[lo]))
+        if key in blocks:  # the episode's rows are split or repeated
+            return None
+        blocks[key] = (lo, hi)
+    out = []
+    for ep, mask in pairs:
+        key = (ep.patient_id, ep.episode_id)
+        lo, hi = blocks.pop(key, (0, 0))
+        order = np.argsort(t[lo:hi], kind="stable")
+        if not np.array_equal(t[lo:hi][order], np.arange(ep.T)):  # each t once, in range
+            return None
+        values = value[lo:hi][order]
+        retained, _ = split_mask(mask.bits, ep.observed)
+        if (not np.isfinite(values).all()
+                or np.any(np.abs(values[retained] - ep.glucose[retained]) > RETAINED_TOLERANCE)):
+            return None
+        out.append(Imputation(values, methods[0][0], key))
+    for lo, hi in blocks.values():  # episodes not scored may still repeat no t
+        if np.unique(t[lo:hi]).size < hi - lo:
+            return None
     return out

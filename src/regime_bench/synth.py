@@ -186,12 +186,12 @@ def generate(config: SynthConfig) -> SynthResult:
 
 
 def write_labels_csv(result: SynthResult, path) -> None:
-    rows = (
-        [episode_id, t, REGIME_NAMES[code]]
+    chunks = (
+        "".join(f"{episode_id},{t},{REGIME_NAMES[code]}\r\n"
+                for t, code in enumerate(result.labels[episode_id].tolist()))
         for episode_id in sorted(result.labels)
-        for t, code in enumerate(result.labels[episode_id])
     )
-    formats.write_csv(path, ["episode_id", "t", "regime"], rows)
+    formats.write_lines(path, ["episode_id", "t", "regime"], chunks)
 
 
 def write_fixture(result: SynthResult, out_dir) -> dict[str, Path]:

@@ -1,5 +1,6 @@
 """Shared test utilities: episode construction and independent oracles."""
 
+import csv
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from regime_bench.protocols import (
     gradient_of,
 )
 from regime_bench.router import RoutingDecision
+from regime_bench.synth import REGIME_NAMES
 
 
 def make_episode(
@@ -304,3 +306,41 @@ def loop_classify_gap(episode, gap, criteria=StabilityCriteria(), context_minute
         left_boundary=left_boundary,
         right_boundary=right_boundary,
     )
+
+
+def csv_writer_export_csv(episodes, path):
+    """export_csv as one csv.writer row per sample; the byte oracle for the line writer."""
+    rows = (
+        [ep.patient_id, ep.minute_at(t), "" if math.isnan(g) else repr(float(g)),
+         *(repr(float(v)) for v in ep.exog[t])]
+        for ep in sorted(episodes, key=lambda e: (e.patient_id, e.episode_id))
+        for t, g in enumerate(ep.glucose)
+    )
+    _csv_writer_rows(path, ["patient_id", "timestamp", "glucose", "carbs", "bolus", "basal"], rows)
+
+
+def csv_writer_write_imputations_csv(imputations, path):
+    """write_imputations_csv as one csv.writer row per value; the byte oracle."""
+    rows = (
+        [*imp.episode_ref, t, repr(float(value)), imp.method]
+        for imp in sorted(imputations, key=lambda i: i.episode_ref)
+        for t, value in enumerate(imp.values)
+    )
+    _csv_writer_rows(path, ["patient_id", "episode_id", "t", "value", "method"], rows)
+
+
+def csv_writer_write_labels_csv(result, path):
+    """write_labels_csv as one csv.writer row per sample; the byte oracle."""
+    rows = (
+        [episode_id, t, REGIME_NAMES[code]]
+        for episode_id in sorted(result.labels)
+        for t, code in enumerate(result.labels[episode_id])
+    )
+    _csv_writer_rows(path, ["episode_id", "t", "regime"], rows)
+
+
+def _csv_writer_rows(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

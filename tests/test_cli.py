@@ -733,3 +733,29 @@ class TestMaskRetainsNeverObserved:
             f" for {patient}/{episode}\n"
         )
         assert patient == "synth-001"
+
+
+class TestEvaluateSkipReasons:
+    def test_masks_hiding_only_never_observed_samples_counted_apart(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        missingness.save_model(build_injected_model(), model)
+        assert run("synth", "--days", 4, "--noise-std", 1.0, "--seed", 5,
+                   "--gap-model", model, "--gap-seed", 3, "--out", tmp_path) == 0
+        cgm, masks_path = tmp_path / "cgm_gapped.csv", tmp_path / "masks.json"
+        lerp = tmp_path / "lerp.csv"
+        episodes = core.ingest_csv(cgm, 240)
+        # each mask hides exactly its episode's never-observed samples
+        masks.write_masks_json([(ep.patient_id, ep.episode_id, masks.Mask(ep.observed))
+                                for ep in episodes], masks_path)
+        assert run("impute", "--input", cgm, "--masks", masks_path, "--method", "lerp",
+                   "--out", lerp) == 0
+        capsys.readouterr()
+        assert run("evaluate", "--input", cgm, "--imputed", lerp, "--masks", masks_path,
+                   "--out", tmp_path / "eval") == 0
+        n, complete = len(episodes), sum(ep.fully_observed() for ep in episodes)
+        assert 0 < complete < n
+        assert capsys.readouterr().err == (
+            f"evaluate: skipped {complete} of {n} episodes with no masked samples\n"
+            f"evaluate: skipped {n - complete} of {n} episodes whose masked samples were never "
+            "observed\n"
+        )

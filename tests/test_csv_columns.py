@@ -1,0 +1,348 @@
+"""The column path for the large CSV files against the row path and csv.writer.
+
+The CGM and imputation files are read as columns when they are in canonical
+form; anything else goes to the row reader, which owns every error. These
+tests drive both paths over the same bytes and require the same episodes,
+imputations or error text, and they pin the writers to csv.writer byte for
+byte.
+"""
+
+import math
+import tracemalloc
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    csv_writer_export_csv,
+    csv_writer_write_imputations_csv,
+    csv_writer_write_labels_csv,
+    make_episode,
+)
+from test_core import _ROW
+from regime_bench import core, formats, imputers, masks, synth
+from regime_bench.imputers import Imputation
+from regime_bench.masks import Mask
+
+CGM_LINE = ",".join(core.CGM_HEADER)
+EXTERNAL_LINE = ",".join(imputers.EXTERNAL_HEADER)
+
+
+@contextmanager
+def row_path():
+    """Make the column reader decline every file, so the row reader reads it."""
+    with mock.patch.object(formats, "read_columns", lambda *args: None):
+        yield
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error itself is what the two paths must share
+        return type(exc).__name__, str(exc)
+
+
+def same_episodes(a, b):
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    return len(a) == len(b) and all(core.episodes_equal(x, y) for x, y in zip(a, b))
+
+
+def same_imputations(a, b):
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    return len(a) == len(b) and all(
+        x.method == y.method and x.episode_ref == y.episode_ref
+        and np.array_equal(x.values, y.values) and x.values.dtype == y.values.dtype
+        for x, y in zip(a, b)
+    )
+
+
+# line traps: each makes a file that the column reader must decline or read exactly
+LINE_TRAPS = ["blank", "spaces", "extra_field", "missing_field", "comma_to_next", "swap",
+              "lone_cr", "mixed_end", "nul", "repeat", "copy_to_start", "move_to_end", "drop"]
+# text that str.strip changes, which the row reader strips from some fields
+PADDED = [" pA", "pA\t", "\x0bpA", "pA\x0c", "\x1cpA", "pA\x1f", "\x1dpA", "pA\x1e"]
+
+
+def build(header, lines, trap, at, crlf, final_newline):
+    """The file's bytes: lines (lists of fields) with the trap applied at line `at`."""
+    lines = [list(fields) for fields in lines]
+    i = at % len(lines)
+    ends = ["\r\n" if crlf else "\n"] * len(lines)
+    if isinstance(trap, tuple):
+        column, text = trap
+        lines[i][column] = text
+    elif trap == "extra_field":
+        lines[i].append("0")
+    elif trap == "missing_field":
+        lines[i].pop()
+    elif trap == "comma_to_next" and i + 1 < len(lines):  # the comma count stays the same
+        lines[i].append("0")
+        lines[i + 1].pop()
+    elif trap == "swap" and i:
+        lines[i - 1], lines[i] = lines[i], lines[i - 1]
+    elif trap == "lone_cr":
+        ends[i] = "\r"
+    elif trap == "mixed_end":
+        ends[i] = "\n" if crlf else "\r\n"
+    elif trap == "nul":
+        lines[i][0] += "\0"
+    elif trap == "repeat":
+        lines.insert(i, lines[i])
+        ends.append(ends[0])
+    elif trap == "copy_to_start":
+        lines.insert(0, lines[i])
+        ends.append(ends[0])
+    elif trap == "move_to_end":
+        lines.append(lines.pop(i))
+    elif trap == "drop" and len(lines) > 1:
+        lines.pop(i)
+        ends.pop()
+    text = [",".join(fields) for fields in lines]
+    if trap in ("blank", "spaces"):
+        text.insert(i, "" if trap == "blank" else "   ")
+        ends.append(ends[0])
+    body = "".join(line + end for line, end in zip(text, ends))
+    if not final_newline:
+        body = body[: -len(ends[-1])]
+    return (header + ("\r\n" if crlf else "\n") + body).encode("utf-8")
+
+
+CGM_TRAPS = [None, *LINE_TRAPS] + [
+    (0, text) for text in ["", "pé", '"pA"', "p\x0bA", *PADDED]
+] + [
+    (1, text) for text in ["10.0", "1e3", "+5", "1_000", "1970-01-02T00:05:00", "-", "",
+                           "1234567890123456", "12345678901234567890", "-15", " 5", "5\x0c"]
+] + [
+    (2, text) for text in ["nan", "NaN", "inf", "-inf", "1e400", "19.99", "500.5", "1_00",
+                           " 100.0", '"100.0"', "1e2", "100.", "+1e2", "2e-5", "1e", "--1"]
+] + [
+    (column, text) for column in (3, 4, 5)
+    for text in ["nan", "inf", "-1.0", "1e400", "-0.0", "", "1_0", "0.5 ", "\x1c1", "5e-324"]
+]
+
+
+class TestCgmColumnsAgainstRows:
+    @pytest.mark.parametrize("trap", CGM_TRAPS, ids=repr)
+    @given(
+        rows=st.lists(_ROW, min_size=1, max_size=30),
+        at=st.integers(0, 10**6),
+        crlf=st.booleans(),
+        final_newline=st.booleans(),
+        threshold=st.sampled_from([10, 240]),
+    )
+    @settings(max_examples=4, deadline=None)
+    def test_same_episodes_or_same_error(self, tmp_path_factory, rows, trap, at, crlf,
+                                         final_newline, threshold):
+        clock, lines = {}, []
+        for patient, step, glucose, carbs, bolus, basal in rows:
+            minute = clock[patient] = clock.get(patient, 1440) + step
+            lines.append([patient, str(minute), "" if glucose is None else repr(glucose),
+                          repr(carbs), repr(bolus), repr(basal)])
+        path = tmp_path_factory.mktemp("cgm") / "in.csv"
+        path.write_bytes(build(CGM_LINE, lines, trap, at, crlf, final_newline))
+        columns = outcome(core.ingest_csv, path, threshold)
+        with row_path():
+            rows_read = outcome(core.ingest_csv, path, threshold)
+        assert same_episodes(columns, rows_read)
+        if trap is None:  # the canonical file took the column path
+            assert core._read_columns(path) is not None
+
+
+@st.composite
+def external_cases(draw):
+    """Episodes with masks, and imputations that echo every retained value."""
+    pairs, imputations = [], []
+    for episode_id in range(draw(st.integers(1, 3))):
+        T = draw(st.integers(1, 10))
+        glucose = draw(st.lists(st.one_of(st.just(math.nan), st.floats(20.0, 500.0)),
+                                min_size=T, max_size=T))
+        ep = make_episode(glucose, patient_id=draw(st.sampled_from(["pA", "pB"])),
+                          episode_id=episode_id)
+        keep = draw(st.lists(st.booleans(), min_size=T, max_size=T))
+        bits = np.array(keep, dtype=np.uint8) & ep.observed
+        fill = draw(st.lists(st.one_of(st.floats(0.0, 600.0),
+                                       st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308])),
+                             min_size=T, max_size=T))
+        values = np.where(bits == 1, ep.glucose, fill)
+        pairs.append((ep, Mask(bits)))
+        imputations.append(Imputation(values, "lerp", (ep.patient_id, ep.episode_id)))
+    return pairs, imputations
+
+
+EXTERNAL_TRAPS = [None, *LINE_TRAPS, "unknown_episode", "unknown_repeat", "unscored_episode"] + [
+    (0, text) for text in ["pé", '"pA"', "pC", *PADDED]
+] + [
+    (1, text) for text in ["+0", " 0", "00", "0.0", "-0", "7"]
+] + [
+    (2, text) for text in ["10.0", "1e3", "+5", "1_000", "-1", "999", "0", "1", " 1", ""]
+] + [
+    (3, text) for text in ["nan", "inf", "1e400", "1_0", " 100.0", '"100.0"', "", "100.0000001",
+                           "1e", "250"]
+] + [
+    (4, text) for text in ["other", "", "le,rp", *(t.replace("pA", "lerp") for t in PADDED)]
+]
+
+
+class TestExternalColumnsAgainstRows:
+    @pytest.mark.parametrize("trap", EXTERNAL_TRAPS, ids=repr)
+    @given(
+        case=external_cases(),
+        at=st.integers(0, 10**6),
+        crlf=st.booleans(),
+        final_newline=st.booleans(),
+    )
+    @settings(max_examples=4, deadline=None)
+    def test_same_imputations_or_same_error(self, tmp_path_factory, case, trap, at, crlf,
+                                            final_newline):
+        pairs, imputations = case
+        path = tmp_path_factory.mktemp("ext") / "imputed.csv"
+        imputers.write_imputations_csv(imputations, path)
+        lines = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        if trap in ("unknown_episode", "unknown_repeat"):
+            lines.append(["pZ", "9", "999", "100.0", "lerp"])
+            if trap == "unknown_repeat":
+                lines.append(lines[-1])
+        elif trap == "unscored_episode":
+            pairs = pairs[1:]
+        path.write_bytes(build(EXTERNAL_LINE, lines, trap, at, crlf, final_newline))
+        columns = outcome(imputers.load_external, path, pairs)
+        with row_path():
+            rows_read = outcome(imputers.load_external, path, pairs)
+        assert same_imputations(columns, rows_read)
+        if trap is None:
+            assert imputers._load_external_columns(path, pairs) is not None
+
+
+class TestOwnFilesTakeTheColumnPath:
+    """A regression to the row path everywhere would pass every other test."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("own")
+        result = synth.generate(synth.SynthConfig(days=3, noise_std=2.0, seed=4))
+        complete = result.episodes
+        gapped = []
+        for ep in complete:
+            bits = np.ones(ep.T, dtype=np.uint8)
+            bits[10:40] = 0
+            bits[100:101] = 0
+            gapped.append(masks.apply_mask(ep, Mask(bits)))
+        paths = {"complete": root / "cgm.csv", "gapped": root / "cgm_gapped.csv",
+                 "imputed": root / "imputed.csv"}
+        core.export_csv(complete, paths["complete"])
+        core.export_csv(gapped, paths["gapped"])
+        assert b"synth-001,50,,0.0,0.0,1.0\r\n" in paths["gapped"].read_bytes()  # hidden: empty
+        pairs = [(ep, Mask(g.observed)) for ep, g in zip(complete, gapped)]
+        imputers.write_imputations_csv([imputers.impute_lerp(ep, m) for ep, m in pairs],
+                                       paths["imputed"])
+        for name in list(paths):  # an LF copy without a final newline
+            lf = root / f"{name}_lf.csv"
+            lf.write_bytes(paths[name].read_bytes().replace(b"\r\n", b"\n").rstrip(b"\n"))
+            paths[f"{name}_lf"] = lf
+        return paths, pairs
+
+    @pytest.mark.parametrize("name", ["complete", "gapped", "complete_lf", "gapped_lf"])
+    def test_cgm_files(self, files, name):
+        paths, _ = files
+        rows = core._read_columns(paths[name])
+        assert rows is not None and set(rows) == {"synth-001"}
+        with row_path():
+            expected = core.ingest_csv(paths[name], 240)
+        assert same_episodes(core.ingest_csv(paths[name], 240), expected)
+
+    @pytest.mark.parametrize("name", ["imputed", "imputed_lf"])
+    def test_imputation_files(self, files, name):
+        paths, pairs = files
+        loaded = imputers._load_external_columns(paths[name], pairs)
+        assert loaded is not None and len(loaded) == len(pairs)
+        with row_path():
+            assert same_imputations(loaded, imputers.load_external(paths[name], pairs))
+
+
+_TEXT = st.text(alphabet=st.sampled_from(list('ab-_ ,"\n\ré')), min_size=1, max_size=5)
+_ANY_FLOAT = st.one_of(st.floats(),
+                       st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e16,
+                                        0.1, 100.0]))
+
+
+@st.composite
+def episode_lists(draw):
+    episodes = []
+    for episode_id in range(draw(st.integers(1, 3))):
+        T = draw(st.integers(1, 6))
+        glucose = draw(st.lists(st.one_of(st.just(math.nan), st.floats(20.0, 500.0),
+                                          st.sampled_from([20.0, 500.0, 5e2])),
+                                min_size=T, max_size=T))
+        exog = np.array(draw(st.lists(_ANY_FLOAT, min_size=3 * T, max_size=3 * T))).reshape(T, 3)
+        start = 5 * draw(st.integers(-10**6, 10**6))
+        episodes.append(core.Episode(draw(_TEXT), episode_id, start, glucose, exog,
+                                     ~np.isnan(glucose)))
+    return episodes
+
+
+class TestWritersMatchCsvWriter:
+    @given(episodes=episode_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_export_csv(self, tmp_path_factory, episodes):
+        root = tmp_path_factory.mktemp("export")
+        with mock.patch.object(formats, "write_lines", wraps=formats.write_lines) as lines:
+            core.export_csv(episodes, root / "lines.csv")
+        csv_writer_export_csv(episodes, root / "rows.csv")
+        assert (root / "lines.csv").read_bytes() == (root / "rows.csv").read_bytes()
+        assert lines.called == formats.plain(ep.patient_id for ep in episodes)
+
+    @given(
+        refs=st.lists(st.tuples(_TEXT, st.integers(0, 10**6)), min_size=1, max_size=3, unique=True),
+        method=_TEXT,
+        values=st.lists(st.lists(_ANY_FLOAT, min_size=1, max_size=5), min_size=3, max_size=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_write_imputations_csv(self, tmp_path_factory, refs, method, values):
+        root = tmp_path_factory.mktemp("imputations")
+        imputations = [Imputation(np.array(v), method, ref) for ref, v in zip(refs, values)]
+        with mock.patch.object(formats, "write_lines", wraps=formats.write_lines) as lines:
+            imputers.write_imputations_csv(imputations, root / "lines.csv")
+        csv_writer_write_imputations_csv(imputations, root / "rows.csv")
+        assert (root / "lines.csv").read_bytes() == (root / "rows.csv").read_bytes()
+        texts = [method] + [patient for patient, _ in refs]
+        assert lines.called == formats.plain(texts)
+
+    def test_write_labels_csv(self, tmp_path):
+        result = synth.generate(synth.SynthConfig(days=2, hypo_depth=12.0, seed=1))
+        synth.write_labels_csv(result, tmp_path / "lines.csv")
+        csv_writer_write_labels_csv(result, tmp_path / "rows.csv")
+        assert (tmp_path / "lines.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("text", ["a,b", 'a"b', "a\rb", "a\nb"])
+    def test_text_that_needs_quoting_is_not_plain(self, text):
+        assert not formats.plain(["ok", text])
+        assert formats.plain(["ok", "a b", "a\tb", "é"])
+
+
+class TestColumnReaderMemory:
+    def test_peak_within_two_mib_of_the_row_reader(self, tmp_path):
+        """A reader that holds the whole file at once shows here as megabytes over the rows."""
+        path = tmp_path / "cgm.csv"
+        core.export_csv(synth.generate(synth.SynthConfig(days=200, noise_std=2.0, seed=3)).episodes,
+                        path)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                episodes = core.ingest_csv(path, 240)
+                return tracemalloc.get_traced_memory()[1], episodes
+            finally:
+                tracemalloc.stop()
+
+        assert core._read_columns(path) is not None
+        columns, episodes = peak()
+        with row_path():
+            rows_peak, expected = peak()
+        assert same_episodes(episodes, expected)
+        assert columns <= rows_peak + 2 * 2**20, (columns, rows_peak)
