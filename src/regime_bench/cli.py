@@ -239,10 +239,10 @@ def cmd_calibrate(args) -> int:
         hist_path = out_dir / f"calibration_{method}.csv"
         edges = metrics.HIST_EDGES
         bins = zip(edges[:-1], edges[1:], summary.truth_hist, summary.imputed_hist)
-        formats.write_csv(
+        formats.write_lines(
             hist_path,
             ["bin_left", "bin_right", "truth_count", "imputed_count"],
-            ([f"{lo:g}", f"{hi:g}", int(n_t), int(n_i)] for lo, hi, n_t, n_i in bins),
+            (f"{lo:g},{hi:g},{int(n_t)},{int(n_i)}\r\n" for lo, hi, n_t, n_i in bins),
         )
         print(hist_path)
     summary_path = out_dir / "calibration.json"

@@ -301,31 +301,15 @@ def _partition(patient: str, rows: np.ndarray, partition_gap_minutes: int) -> li
 def export_csv(episodes: list[Episode], path) -> None:
     """Write episodes back to the standard CGM CSV (integer-minute timestamps)."""
     episodes = sorted(episodes, key=lambda e: (e.patient_id, e.episode_id))
-    if formats.plain(ep.patient_id for ep in episodes):
-        formats.write_lines(path, CGM_HEADER, map(_cgm_lines, episodes))
-    else:
-        formats.write_csv(path, CGM_HEADER, _cgm_rows(episodes))
+    formats.write_lines(path, CGM_HEADER, map(_cgm_lines, episodes))
 
 
 def _cgm_lines(ep: Episode) -> str:
     minutes = range(ep.start_minute, ep.minute_at(ep.T), GRID_MINUTES)
     glucose = ("" if math.isnan(g) else repr(g) for g in ep.glucose.tolist())
-    return "".join(f"{ep.patient_id},{m},{g},{c!r},{b!r},{s!r}\r\n"
+    patient = formats.quote(ep.patient_id)
+    return "".join(f"{patient},{m},{g},{c!r},{b!r},{s!r}\r\n"
                    for m, g, (c, b, s) in zip(minutes, glucose, ep.exog.tolist()))
-
-
-def _cgm_rows(episodes: list[Episode]):
-    for ep in episodes:
-        for t in range(ep.T):
-            g = ep.glucose[t]
-            yield [
-                ep.patient_id,
-                ep.minute_at(t),
-                "" if math.isnan(g) else repr(float(g)),
-                repr(float(ep.exog[t, 0])),
-                repr(float(ep.exog[t, 1])),
-                repr(float(ep.exog[t, 2])),
-            ]
 
 
 def time_encoding(t, start_time_of_day: int = 0) -> np.ndarray:
@@ -354,7 +338,6 @@ def build_inputs(episode: Episode, mask) -> np.ndarray:
 
 def export_inputs(episode: Episode, mask, path) -> None:
     """Serialize build_inputs for one episode to CSV."""
-    inputs = build_inputs(episode, mask)
-    formats.write_csv(
-        path, INPUT_HEADER, ([t, *map(repr, row)] for t, row in enumerate(inputs.tolist()))
-    )
+    lines = (f"{t},{','.join(map(repr, row))}\r\n"
+             for t, row in enumerate(build_inputs(episode, mask).tolist()))
+    formats.write_lines(path, INPUT_HEADER, lines)

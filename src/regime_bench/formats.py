@@ -4,11 +4,12 @@ A JSON document is an object whose first key is ``schema_version``,
 written with ``indent=2`` and a trailing newline. A CSV file starts with a
 fixed header row. Readers name the file in every error they raise.
 
-The large CSV files also have a column path: ``read_columns`` reads a file
-in canonical form block by block into arrays and declines anything else, so
-that the caller's row reader, the only source of errors, reads it instead.
-``write_lines`` writes lines that the caller formats, byte for byte as
-``csv.writer`` would when no field needs quoting.
+Every CSV file is written through ``write_lines``, each id and method
+passed through ``quote``, byte for byte as the ``csv`` module writes it. The
+large CSV files also have a column path: ``read_columns`` reads a file in
+canonical form block by block into arrays and declines anything else, ids
+that need quoting included. The caller's row reader reads what it declines,
+so every error that names a line is the row reader's.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def read_json(path, records: str | None = None, error=ParseError) -> dict:
 
     try:
         doc = json.loads(Path(path).read_text(), parse_constant=reject_constant)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise error(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
@@ -56,40 +57,53 @@ def read_json(path, records: str | None = None, error=ParseError) -> dict:
     return doc
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """Write the header row, then every row of the iterable ``rows``."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def require_strings(path, doc: dict, fields) -> None:
+    """Raise ParseError naming the first of fields that doc holds as anything but a string."""
+    for field in fields:
+        if not isinstance(doc.get(field, ""), str):
+            raise ParseError(f"{path}: {field!r} must be a string")
 
 
 def read_csv(path, header: list[str]):
     """Yield ``(line_no, row)`` for each data row after checking the header.
 
     Empty rows and whitespace-only single-field rows are skipped. Line
-    numbers count the header as line 1.
+    numbers count the header as line 1. Bytes that do not decode raise
+    ParseError naming the first line that holds them.
     """
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or [h.strip() for h in first] != header:
-            raise ParseError(f"{path}: line 1: expected header {','.join(header)}")
-        for line_no, row in enumerate(reader, start=2):
-            if row and (len(row) > 1 or row[0].strip()):
-                yield line_no, row
+        try:
+            first = next(reader, None)
+            if first is None or [h.strip() for h in first] != header:
+                raise ParseError(f"{path}: line 1: expected header {','.join(header)}")
+            for line_no, row in enumerate(reader, start=2):
+                if row and (len(row) > 1 or row[0].strip()):
+                    yield line_no, row
+        except UnicodeDecodeError as exc:
+            # the decoder reads ahead of the rows, so scan the bytes again for the first
+            # line that does not decode: the one that dropping its bad bytes changes
+            with Path(path).open("rb") as data:
+                line_no = next(n for n, raw in enumerate(data, start=1)
+                               if raw.decode(exc.encoding, "ignore").encode(exc.encoding) != raw)
+            raise ParseError(f"{path}: line {line_no}: not {exc.encoding} text") from exc
 
 
 def plain(texts) -> bool:
-    """True when csv.writer writes every text as is: none holds ',', '"', '\\r' or '\\n'."""
+    """True when the csv module writes every text as is: none holds ',', '"', '\\r' or '\\n'."""
     return not any(c in text for text in texts for c in ',"\r\n')
+
+
+def quote(text: str) -> str:
+    """text as the csv module writes a field: quoted, inner '"' doubled, unless it is plain."""
+    return text if plain((text,)) else '"' + text.replace('"', '""') + '"'
 
 
 def write_lines(path, header: list[str], chunks) -> None:
     """Write the header row, then each chunk of lines formatted by the caller.
 
-    Each line ends in ``\\r\\n``, as csv.writer ends them; callers use this
-    only for fields that ``plain`` passes, so the bytes equal csv.writer's.
+    Each line ends in ``\\r\\n``, as the csv module ends them; callers pass
+    every text field through ``quote``, so the bytes equal the csv module's.
     """
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")

@@ -85,24 +85,17 @@ BUILTIN_IMPUTERS = {
 
 def write_imputations_csv(imputations: list[Imputation], path) -> None:
     imputations = sorted(imputations, key=lambda i: i.episode_ref)
-    if formats.plain(t for imp in imputations for t in (imp.episode_ref[0], imp.method)):
-        formats.write_lines(path, EXTERNAL_HEADER, map(_imputation_lines, imputations))
-        return
-    rows = (
-        [*imp.episode_ref, t, repr(float(value)), imp.method]
-        for imp in imputations
-        for t, value in enumerate(imp.values)
-    )
-    formats.write_csv(path, EXTERNAL_HEADER, rows)
+    formats.write_lines(path, EXTERNAL_HEADER, map(_imputation_lines, imputations))
 
 
 def _imputation_lines(imp: Imputation) -> str:
-    head = f"{imp.episode_ref[0]},{imp.episode_ref[1]},"
-    return "".join(f"{head}{t},{v!r},{imp.method}\r\n" for t, v in enumerate(imp.values.tolist()))
+    head = f"{formats.quote(imp.episode_ref[0])},{imp.episode_ref[1]},"
+    method = formats.quote(imp.method)
+    return "".join(f"{head}{t},{v!r},{method}\r\n" for t, v in enumerate(imp.values.tolist()))
 
 
 def _read_external_rows(path, lengths: dict[tuple[str, int], int]):
-    """Parse an external file into {episode: {t: value}}.
+    """Parse an external file into (method, {episode: (t, values)}).
 
     lengths gives T for the episodes being scored; their rows must have t in
     [0, T). Rows for other episodes are kept unchecked. A repeated
@@ -135,7 +128,8 @@ def _read_external_rows(path, lengths: dict[tuple[str, int], int]):
         rows[t] = value
     if len(methods) != 1:
         raise ParseError(f"{path}: expected exactly one method per file, found {sorted(methods)}")
-    return methods.pop(), series
+    return methods.pop(), {key: (np.array([*rows]), np.array([*rows.values()]))
+                           for key, rows in series.items()}
 
 
 def load_external(path, pairs: list[tuple[Episode, Mask]]) -> list[Imputation]:
@@ -149,20 +143,28 @@ def load_external(path, pairs: list[tuple[Episode, Mask]]) -> list[Imputation]:
     if columns is not None:
         return columns
     lengths = {(ep.patient_id, ep.episode_id): ep.T for ep, _ in pairs}
-    method, series = _read_external_rows(path, lengths)
+    return _checked(path, *_read_external_rows(path, lengths), pairs)
+
+
+def _checked(path, method: str, series, pairs: list[tuple[Episode, Mask]]) -> list[Imputation]:
+    """Each scored episode's imputation, after the checks that follow either reader.
+
+    series maps each episode to its (t, values), t distinct and, for the
+    episodes in pairs, within [0, T).
+    """
     out = []
     for ep, mask in pairs:
         key = (ep.patient_id, ep.episode_id)
         if key not in series:
             raise CoverageError(f"{path}: no rows for episode {key[0]}/{key[1]}")
-        rows = series[key]
-        if len(rows) < ep.T:  # rows hold distinct in-range indices only
-            missing = [t for t in range(ep.T) if t not in rows]
+        t, values = series[key]
+        if t.size < ep.T:
+            missing = np.setdiff1d(np.arange(ep.T), t).astype(int).tolist()
             raise CoverageError(
                 f"{path}: episode {key[0]}/{key[1]} missing indices {missing[:5]}"
                 + ("..." if len(missing) > 5 else "")
             )
-        values = np.array([rows[t] for t in range(ep.T)])
+        values = values[np.argsort(t)]  # t holds each of 0..T-1 once
         if not np.isfinite(values).all():
             raise IntegrityError(f"{path}: non-finite value in episode {key[0]}/{key[1]}")
         retained, _ = split_mask(mask.bits, ep.observed)
@@ -180,42 +182,30 @@ def load_external(path, pairs: list[tuple[Episode, Mask]]) -> list[Imputation]:
 def _load_external_columns(path, pairs: list[tuple[Episode, Mask]]) -> list[Imputation] | None:
     """load_external's result from a canonical file, or None to leave the file to its rows.
 
-    The file must list each episode's rows in one block and use one method;
-    None also stands for every check that fails, so that the row reader and
-    load_external's own checks raise the error.
+    None stands for each file on which the row reader raises and names the
+    line: more than one method, an empty value field, an episode split into
+    blocks or repeating a t, a scored episode's t outside [0, T). Every other
+    file goes on to the checks that follow either reader.
     """
     read = formats.read_columns(path, EXTERNAL_HEADER, "tiift")
     if read is None:
         return None
     table, (patients, methods) = read
-    if len(methods) != 1:
-        return None
     episode, t, value = table.T
+    if len(methods) != 1 or np.isnan(value).any():  # NaN stands for an empty value field
+        return None
     # an episode's block starts wherever the patient or the episode id changes
     patient_starts = np.cumsum([0] + [n for _, n in patients[:-1]])
     starts = np.union1d(patient_starts, np.flatnonzero(np.diff(episode)) + 1)
     ends = np.append(starts[1:], len(table))
     owners = np.searchsorted(patient_starts, starts, side="right") - 1
-    blocks = {}
+    lengths = {(ep.patient_id, ep.episode_id): ep.T for ep, _ in pairs}
+    series = {}
     for lo, hi, owner in zip(starts.tolist(), ends.tolist(), owners.tolist()):
         key = (patients[owner][0], int(episode[lo]))
-        if key in blocks:  # the episode's rows are split or repeated
+        times, T = t[lo:hi], lengths.get(key)
+        if (key in series or np.unique(times).size < hi - lo
+                or T is not None and (times.min() < 0 or times.max() >= T)):
             return None
-        blocks[key] = (lo, hi)
-    out = []
-    for ep, mask in pairs:
-        key = (ep.patient_id, ep.episode_id)
-        lo, hi = blocks.pop(key, (0, 0))
-        order = np.argsort(t[lo:hi], kind="stable")
-        if not np.array_equal(t[lo:hi][order], np.arange(ep.T)):  # each t once, in range
-            return None
-        values = value[lo:hi][order]
-        retained, _ = split_mask(mask.bits, ep.observed)
-        if (not np.isfinite(values).all()
-                or np.any(np.abs(values[retained] - ep.glucose[retained]) > RETAINED_TOLERANCE)):
-            return None
-        out.append(Imputation(values, methods[0][0], key))
-    for lo, hi in blocks.values():  # episodes not scored may still repeat no t
-        if np.unique(t[lo:hi]).size < hi - lo:
-            return None
-    return out
+        series[key] = (times, value[lo:hi])
+    return _checked(path, methods[0][0], series, pairs)

@@ -214,9 +214,11 @@ def read_masks_json(path):
     """Load masks; returns (metadata, {(patient_id, episode_id): Mask}).
 
     A malformed or duplicated record raises ParseError naming the file and
-    the record's position in the ``masks`` list.
+    the record's position in the ``masks`` list; so does a ``provenance`` or
+    ``condition`` label that is not a string, naming the field.
     """
     doc = formats.read_json(path, records="masks")
+    formats.require_strings(path, doc, ("provenance", "condition"))
     masks = {}
     for i, rec in enumerate(doc["masks"]):
         try:

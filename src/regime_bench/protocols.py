@@ -267,9 +267,11 @@ def read_windows_json(path):
     """Load windows; returns (metadata, [(patient_id, episode_id, RegimeWindow), ...]).
 
     A record missing a required field raises ParseError naming the file and
-    the record's position in the ``windows`` list.
+    the record's position in the ``windows`` list; so does a ``protocol`` or
+    ``condition`` label that is not a string, naming the field.
     """
     doc = formats.read_json(path, records="windows")
+    formats.require_strings(path, doc, ("protocol", "condition"))
     out = []
     for i, rec in enumerate(doc["windows"]):
         try:
@@ -290,7 +292,9 @@ TCR_HEADER = ["patient_id", "episode_id", "tcr_start_index", "tcr_end_index"]
 
 def write_tcr_csv(rows, path):
     """rows: iterable of (patient_id, episode_id, start_index, end_index)."""
-    formats.write_csv(path, TCR_HEADER, sorted(rows))
+    lines = (f"{formats.quote(patient)},{episode},{start},{end}\r\n"
+             for patient, episode, start, end in sorted(rows))
+    formats.write_lines(path, TCR_HEADER, lines)
 
 
 def read_tcr_csv(path) -> dict[tuple[str, int], list[tuple[int, int]]]:

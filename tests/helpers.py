@@ -339,6 +339,27 @@ def csv_writer_write_labels_csv(result, path):
     _csv_writer_rows(path, ["episode_id", "t", "regime"], rows)
 
 
+def csv_writer_write_tcr_csv(rows, path):
+    """write_tcr_csv as one csv.writer row per interval; the byte oracle."""
+    header = ["patient_id", "episode_id", "tcr_start_index", "tcr_end_index"]
+    _csv_writer_rows(path, header, sorted(rows))
+
+
+def csv_writer_export_inputs(inputs, path):
+    """export_inputs of build_inputs' (T, 6) array as csv.writer rows; the byte oracle."""
+    rows = ([t, *map(repr, row)] for t, row in enumerate(inputs.tolist()))
+    header = ["t", "masked_glucose", "carbs", "bolus", "basal", "sin_t", "cos_t"]
+    _csv_writer_rows(path, header, rows)
+
+
+def csv_writer_calibration_histogram(summary, path):
+    """calibrate's calibration_<model>.csv for a pooled summary as csv.writer rows; the oracle."""
+    edges = metrics.HIST_EDGES
+    bins = zip(edges[:-1], edges[1:], summary.truth_hist, summary.imputed_hist)
+    rows = ([f"{lo:g}", f"{hi:g}", int(n_t), int(n_i)] for lo, hi, n_t, n_i in bins)
+    _csv_writer_rows(path, ["bin_left", "bin_right", "truth_count", "imputed_count"], rows)
+
+
 def _csv_writer_rows(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

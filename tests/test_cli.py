@@ -759,3 +759,57 @@ class TestEvaluateSkipReasons:
             f"evaluate: skipped {n - complete} of {n} episodes whose masked samples were never "
             "observed\n"
         )
+
+
+class TestMetadataLabels:
+    """evaluate groups its results by these labels, so each must be a string."""
+
+    @pytest.mark.parametrize("value", [["A"], 7], ids=["list", "number"])
+    @pytest.mark.parametrize("kind, field", [
+        ("masks", "provenance"), ("masks", "condition"),
+        ("windows", "protocol"), ("windows", "condition"),
+    ])
+    def test_label_that_is_not_a_string_names_the_field(self, pipeline, tmp_path, capsys, kind,
+                                                        field, value):
+        doc = json.loads(pipeline[kind].read_text())
+        doc[field] = value
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text(json.dumps(doc))
+        files = {"masks": pipeline["masks"], "windows": pipeline["windows"], kind: bad}
+        capsys.readouterr()
+        assert run("evaluate", "--input", pipeline["cgm"], "--imputed", pipeline["imputed"]["lerp"],
+                   "--masks", files["masks"], "--windows", files["windows"],
+                   "--out", tmp_path / "eval") == 1
+        assert capsys.readouterr().err == f"error: {bad}: {field!r} must be a string\n"
+        assert not (tmp_path / "eval" / "report.json").exists()
+
+
+class TestUndecodableInput:
+    """Bytes that are not UTF-8 fail with one error line naming the file, not a traceback."""
+
+    @pytest.mark.parametrize("line", [3, 3000])
+    def test_cgm_csv_names_the_line(self, tmp_path, capsys, line):
+        rows = [f"p1,{5 * i},100.0,0.0,0.0,0.0\r\n".encode() for i in range(line)]
+        rows[line - 2] = rows[line - 2].replace(b"p1", b"p\xff")
+        bad = tmp_path / "cgm.csv"
+        bad.write_bytes(b"patient_id,timestamp,glucose,carbs,bolus,basal\r\n" + b"".join(rows))
+        assert run("fit", "--input", bad, "--out", tmp_path / "model.json") == 1
+        assert capsys.readouterr().err == f"error: {bad}: line {line}: not utf-8 text\n"
+
+    def test_tcr_csv_names_the_line(self, protocol_fixture, tmp_path, capsys):
+        bad = tmp_path / "tcr.csv"
+        bad.write_bytes(b"patient_id,episode_id,tcr_start_index,tcr_end_index\r\n"
+                        b"synth-001,0,126,174\r\nsynth-\xff,1,126,174\r\n")
+        assert run("stress", "--input", protocol_fixture / "cgm.csv", "--protocol", "C",
+                   "--tcr", bad, "--seed", 1, "--out", tmp_path / "C") == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 3: not utf-8 text\n"
+
+    def test_masks_json_names_the_file(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "masks.json"
+        bad.write_bytes(b'{"schema_version": 1, "provenance": "\xff", "masks": []}\n')
+        assert run("evaluate", "--input", pipeline["cgm"], "--imputed", pipeline["imputed"]["lerp"],
+                   "--masks", bad, "--out", tmp_path / "eval") == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: invalid JSON: 'utf-8' codec can't decode byte 0xff in position 37: "
+            "invalid start byte\n"
+        )

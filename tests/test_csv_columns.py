@@ -14,17 +14,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    csv_writer_calibration_histogram,
     csv_writer_export_csv,
+    csv_writer_export_inputs,
     csv_writer_write_imputations_csv,
     csv_writer_write_labels_csv,
+    csv_writer_write_tcr_csv,
     make_episode,
 )
 from test_core import _ROW
-from regime_bench import core, formats, imputers, masks, synth
+from regime_bench import cli, core, formats, imputers, masks, metrics, protocols, synth
 from regime_bench.imputers import Imputation
 from regime_bench.masks import Mask
 
@@ -265,6 +268,30 @@ class TestOwnFilesTakeTheColumnPath:
             assert same_imputations(loaded, imputers.load_external(paths[name], pairs))
 
 
+class TestColumnPathRaisesTheSharedChecks:
+    """A canonical file that fails a check after reading raises from the column path itself."""
+
+    @pytest.mark.parametrize("line, text", [(2, None), (2, "1e400"), (1, "100.001")],
+                             ids=["missing t", "value 1e400", "retained off by 1e-3"])
+    def test_same_error_as_the_row_path(self, tmp_path, line, text):
+        ep = make_episode([100.0, 110.0, 120.0, 130.0])
+        mask = Mask(np.array([1, 0, 0, 1], dtype=np.uint8))
+        path = tmp_path / "imputed.csv"
+        imputers.write_imputations_csv([imputers.impute_lerp(ep, mask)], path)
+        lines = path.read_bytes().split(b"\r\n")
+        if text is None:
+            del lines[line]
+        else:
+            fields = lines[line].split(b",")
+            fields[3] = text.encode()
+            lines[line] = b",".join(fields)
+        path.write_bytes(b"\r\n".join(lines))
+        with row_path():
+            expected = outcome(imputers.load_external, path, [(ep, mask)])
+        assert isinstance(expected, tuple), expected  # the row path raises
+        assert outcome(imputers._load_external_columns, path, [(ep, mask)]) == expected
+
+
 _TEXT = st.text(alphabet=st.sampled_from(list('ab-_ ,"\n\ré')), min_size=1, max_size=5)
 _ANY_FLOAT = st.one_of(st.floats(),
                        st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e16,
@@ -295,7 +322,7 @@ class TestWritersMatchCsvWriter:
             core.export_csv(episodes, root / "lines.csv")
         csv_writer_export_csv(episodes, root / "rows.csv")
         assert (root / "lines.csv").read_bytes() == (root / "rows.csv").read_bytes()
-        assert lines.called == formats.plain(ep.patient_id for ep in episodes)
+        assert lines.called
 
     @given(
         refs=st.lists(st.tuples(_TEXT, st.integers(0, 10**6)), min_size=1, max_size=3, unique=True),
@@ -310,14 +337,52 @@ class TestWritersMatchCsvWriter:
             imputers.write_imputations_csv(imputations, root / "lines.csv")
         csv_writer_write_imputations_csv(imputations, root / "rows.csv")
         assert (root / "lines.csv").read_bytes() == (root / "rows.csv").read_bytes()
-        texts = [method] + [patient for patient, _ in refs]
-        assert lines.called == formats.plain(texts)
+        assert lines.called
 
     def test_write_labels_csv(self, tmp_path):
         result = synth.generate(synth.SynthConfig(days=2, hypo_depth=12.0, seed=1))
         synth.write_labels_csv(result, tmp_path / "lines.csv")
         csv_writer_write_labels_csv(result, tmp_path / "rows.csv")
         assert (tmp_path / "lines.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @given(rows=st.lists(st.tuples(_TEXT, st.integers(0, 10**6), st.integers(0, 288),
+                                   st.integers(0, 288)), min_size=1, max_size=5))
+    @example(rows=[('a,"b', 0, 126, 174), ("synth-001", 1, 126, 174)])
+    @settings(max_examples=100, deadline=None)
+    def test_write_tcr_csv(self, tmp_path_factory, rows):
+        root = tmp_path_factory.mktemp("tcr")
+        protocols.write_tcr_csv(rows, root / "lines.csv")
+        csv_writer_write_tcr_csv(rows, root / "rows.csv")
+        assert (root / "lines.csv").read_bytes() == (root / "rows.csv").read_bytes()
+
+    @given(episodes=episode_lists(), keep=st.lists(st.booleans(), min_size=6, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_export_inputs(self, tmp_path_factory, episodes, keep):
+        root = tmp_path_factory.mktemp("inputs")
+        ep = episodes[0]
+        mask = Mask(np.array(keep[: ep.T], dtype=np.uint8) & ep.observed)
+        core.export_inputs(ep, mask, root / "lines.csv")
+        csv_writer_export_inputs(core.build_inputs(ep, mask), root / "rows.csv")
+        assert (root / "lines.csv").read_bytes() == (root / "rows.csv").read_bytes()
+
+    def test_calibration_histogram(self, tmp_path):
+        episodes = synth.generate(synth.SynthConfig(days=2, hypo_depth=12.0, seed=1)).episodes
+        pairs = []
+        for ep in episodes:
+            bits = np.ones(ep.T, dtype=np.uint8)
+            bits[20:80] = 0
+            pairs.append((ep, Mask(bits)))
+        cgm, masks_path, lerp = tmp_path / "cgm.csv", tmp_path / "masks.json", tmp_path / "lerp.csv"
+        core.export_csv(episodes, cgm)
+        masks.write_masks_json([(ep.patient_id, ep.episode_id, m) for ep, m in pairs], masks_path)
+        imputations = [imputers.impute_lerp(ep, m) for ep, m in pairs]
+        imputers.write_imputations_csv(imputations, lerp)
+        assert cli.main(["calibrate", "--input", str(cgm), "--imputed", str(lerp),
+                         "--masks", str(masks_path), "--out", str(tmp_path / "cal")]) == 0
+        triples = [(ep.glucose, imp.values, m) for (ep, m), imp in zip(pairs, imputations)]
+        csv_writer_calibration_histogram(metrics.pooled_calibration(triples), tmp_path / "rows.csv")
+        written = (tmp_path / "cal" / "calibration_lerp.csv").read_bytes()
+        assert written == (tmp_path / "rows.csv").read_bytes()
 
     @pytest.mark.parametrize("text", ["a,b", 'a"b', "a\rb", "a\nb"])
     def test_text_that_needs_quoting_is_not_plain(self, text):
