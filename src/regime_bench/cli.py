@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import formats, imputers, masks, metrics, missingness, protocols, router, synth
@@ -32,6 +33,15 @@ def _worker_cap() -> int:
     return cap
 
 
+@contextmanager
+def _for_episode(key):
+    """Re-raise a harness error with `` for <patient_id>/<episode_id>`` appended."""
+    try:
+        yield
+    except RegimeBenchError as exc:
+        raise type(exc)(f"{exc} for {key[0]}/{key[1]}") from exc
+
+
 def _load_pairs(args):
     """Ingest --input and read --masks; returns (mask metadata, [(episode, mask), ...]).
 
@@ -47,10 +57,8 @@ def _load_pairs(args):
         if ep is None:
             raise CoverageError(f"mask references unknown episode {key[0]}/{key[1]}")
         mask = mask_map[key]
-        try:
+        with _for_episode(key):
             split_mask(mask.bits, ep.observed)
-        except RegimeBenchError as exc:
-            raise type(exc)(f"{exc} for {key[0]}/{key[1]}") from exc
         pairs.append((ep, mask))
     return meta, pairs
 
@@ -262,9 +270,10 @@ def cmd_route(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     imputations, decision_entries = [], []
     for (ep, mask), external in zip(pairs, externals):
-        imputation, decisions = router.adaptive_impute(
-            ep, mask, external, criteria, args.context_min
-        )
+        with _for_episode((ep.patient_id, ep.episode_id)):
+            imputation, decisions = router.adaptive_impute(
+                ep, mask, external, criteria, args.context_min
+            )
         imputations.append(imputation)
         decision_entries.extend((ep.patient_id, ep.episode_id, d) for d in decisions)
     routed_path = out_dir / "routed.csv"

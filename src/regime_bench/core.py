@@ -138,7 +138,7 @@ def runs_to_bits(T: int, runs) -> np.ndarray:
     return bits
 
 
-def _parse_timestamp(text: str, line_no: int) -> float:
+def _parse_timestamp(text: str) -> float:
     text = text.strip()
     try:
         return float(int(text))
@@ -148,47 +148,20 @@ def _parse_timestamp(text: str, line_no: int) -> float:
         stamp = text.replace("Z", "+00:00") if text.endswith("Z") else text
         dt = datetime.fromisoformat(stamp)
     except ValueError as exc:
-        raise ParseError(f"line {line_no}: bad timestamp {text!r}") from exc
+        raise ParseError(f"bad timestamp {text!r}") from exc
     # timestamps are taken as local wall-clock; drop any offset rather than convert
     dt = dt.replace(tzinfo=None)
     return (dt - _EPOCH).total_seconds() / 60.0
 
 
-def _parse_float(text: str, field: str, line_no: int, default: float = 0.0) -> float:
+def _parse_float(text: str, field: str, default: float = 0.0) -> float:
     text = text.strip()
     if not text:
         return default
     try:
         return float(text)
     except ValueError as exc:
-        raise ParseError(f"line {line_no}: bad {field} value {text!r}") from exc
-
-
-def _parse_row(row, line_no: int) -> tuple[str, float, float, float, float, float]:
-    """One CSV row as (patient, minute, glucose, carbs, bolus, basal).
-
-    glucose is NaN for event-only rows. Range and sign guards are applied
-    here so errors can carry the offending line number.
-    """
-    if len(row) != len(CGM_HEADER):
-        raise ParseError(f"line {line_no}: expected {len(CGM_HEADER)} fields, got {len(row)}")
-    patient = row[0].strip()
-    if not patient:
-        raise ParseError(f"line {line_no}: empty patient_id")
-    minute = _parse_timestamp(row[1], line_no)
-    glucose = _parse_float(row[2], "glucose", line_no, default=math.nan)
-    if row[2].strip() and not (GLUCOSE_MIN <= glucose <= GLUCOSE_MAX):
-        raise ParseError(
-            f"line {line_no}: glucose {glucose} outside [{GLUCOSE_MIN:g}, {GLUCOSE_MAX:g}]"
-        )
-    carbs = _parse_float(row[3], "carbs", line_no)
-    bolus = _parse_float(row[4], "bolus", line_no)
-    basal = _parse_float(row[5], "basal", line_no)
-    if not (math.isfinite(carbs) and math.isfinite(bolus) and math.isfinite(basal)):
-        raise ParseError(f"line {line_no}: non-finite exogenous value")
-    if carbs < 0 or bolus < 0 or basal < 0:
-        raise ParseError(f"line {line_no}: negative exogenous value")
-    return patient, minute, glucose, carbs, bolus, basal
+        raise ParseError(f"bad {field} value {text!r}") from exc
 
 
 def ingest_csv(path, partition_gap_minutes: int) -> list[Episode]:
@@ -214,21 +187,32 @@ def _read_rows(path) -> dict[str, np.ndarray]:
     """Per patient, its (minute, glucose, carbs, bolus, basal) rows in file order.
 
     The row reader: it reads any valid file and raises each error with the
-    line that caused it.
+    line that caused it. glucose is NaN for event-only rows.
     """
     # per patient, flat in file order: (minute, glucose, carbs, bolus, basal) per row
     rows: defaultdict[str, array] = defaultdict(lambda: array("d"))
-    for line_no, row in formats.read_csv(path, CGM_HEADER):
-        try:
-            parsed = _parse_row(row, line_no)
-        except ParseError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        table = rows[parsed[0]]
-        if table and parsed[1] < table[-5]:  # the patient's previous minute
-            raise OrderingError(
-                f"{path}: line {line_no}: timestamp decreases within patient {parsed[0]!r}"
-            )
-        table.extend(parsed[1:])
+
+    def parse(row):
+        patient = row[0].strip()
+        if not patient:
+            raise ParseError("empty patient_id")
+        minute = _parse_timestamp(row[1])
+        glucose = _parse_float(row[2], "glucose", default=math.nan)
+        if row[2].strip() and not (GLUCOSE_MIN <= glucose <= GLUCOSE_MAX):
+            raise ParseError(f"glucose {glucose} outside [{GLUCOSE_MIN:g}, {GLUCOSE_MAX:g}]")
+        carbs = _parse_float(row[3], "carbs")
+        bolus = _parse_float(row[4], "bolus")
+        basal = _parse_float(row[5], "basal")
+        if not (math.isfinite(carbs) and math.isfinite(bolus) and math.isfinite(basal)):
+            raise ParseError("non-finite exogenous value")
+        if carbs < 0 or bolus < 0 or basal < 0:
+            raise ParseError("negative exogenous value")
+        table = rows[patient]
+        if table and minute < table[-5]:  # the patient's previous minute
+            raise OrderingError(f"timestamp decreases within patient {patient!r}")
+        table.extend((minute, glucose, carbs, bolus, basal))
+
+    formats.read_csv(path, CGM_HEADER, parse)
     return {patient: np.frombuffer(table).reshape(-1, 5) for patient, table in rows.items()}
 
 

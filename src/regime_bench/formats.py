@@ -4,12 +4,20 @@ A JSON document is an object whose first key is ``schema_version``,
 written with ``indent=2`` and a trailing newline. A CSV file starts with a
 fixed header row. Readers name the file in every error they raise.
 
+There is one reader loop per file shape, and it owns the error contract.
+``read_csv`` checks the header, skips blank rows, checks each row's field
+count and hands the row to the caller's ``parse``; every error it raises or
+passes on reads ``<path>: line N: ...``, the ``csv`` module's own included.
+``read_records`` checks a JSON document's record list and labels and hands
+each record to the caller's ``parse``; every record error reads
+``<path>: <list>[i]: ...``, and ``record_field`` checks a field's JSON type.
+
 Every CSV file is written through ``write_lines``, each id and method
 passed through ``quote``, byte for byte as the ``csv`` module writes it. The
 large CSV files also have a column path: ``read_columns`` reads a file in
 canonical form block by block into arrays and declines anything else, ids
 that need quoting included. The caller's row reader reads what it declines,
-so every error that names a line is the row reader's.
+so every error that names a line comes from ``read_csv``.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ParseError
+from .errors import ParseError, RegimeBenchError
 
 SCHEMA_VERSION = 1
 
@@ -32,12 +40,11 @@ def write_json(path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def read_json(path, records: str | None = None, error=ParseError) -> dict:
+def read_json(path, error=ParseError) -> dict:
     """Read a versioned JSON document.
 
     Invalid JSON (``NaN``, ``Infinity`` and ``-Infinity`` included), a
-    document that is not an object, an unsupported ``schema_version`` and,
-    when ``records`` is given, a missing or non-list ``doc[records]`` all
+    document that is not an object and an unsupported ``schema_version`` all
     raise ``error`` with the path in its message.
     """
 
@@ -52,34 +59,72 @@ def read_json(path, records: str | None = None, error=ParseError) -> dict:
         raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise error(f"{path}: unsupported schema {doc.get('schema_version')!r}")
-    if records is not None and not isinstance(doc.get(records), list):
-        raise error(f"{path}: {records!r} must be a list of records")
     return doc
 
 
-def require_strings(path, doc: dict, fields) -> None:
-    """Raise ParseError naming the first of fields that doc holds as anything but a string."""
-    for field in fields:
-        if not isinstance(doc.get(field, ""), str):
-            raise ParseError(f"{path}: {field!r} must be a string")
+def read_records(path, name: str, parse, labels=()) -> tuple[dict, list]:
+    """Read a versioned JSON document whose ``name`` key holds a list of records.
 
-
-def read_csv(path, header: list[str]):
-    """Yield ``(line_no, row)`` for each data row after checking the header.
-
-    Empty rows and whitespace-only single-field rows are skipped. Line
-    numbers count the header as line 1. Bytes that do not decode raise
-    ParseError naming the first line that holds them.
+    Returns the document's other keys and ``parse(record)`` of each record.
+    A missing or non-list ``name`` and a label in ``labels`` that is present
+    but not a string raise ParseError naming the file. A RegimeBenchError
+    from ``parse`` comes back as ParseError ``<path>: <name>[i]: <message>``;
+    a KeyError or TypeError, from indexing a record that lacks a field or is
+    not an object, as ``<path>: <name>[i]: missing or malformed field: ...``.
     """
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
+    doc = read_json(path)
+    records = doc.pop(name, None)
+    if not isinstance(records, list):
+        raise ParseError(f"{path}: {name!r} must be a list of records")
+    for label in labels:
+        if not isinstance(doc.get(label, ""), str):
+            raise ParseError(f"{path}: {label!r} must be a string")
+    parsed = []
+    for i, rec in enumerate(records):
         try:
-            first = next(reader, None)
+            parsed.append(parse(rec))
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"{path}: {name}[{i}]: missing or malformed field: {exc}") from exc
+        except RegimeBenchError as exc:
+            raise ParseError(f"{path}: {name}[{i}]: {exc}") from exc
+    return doc, parsed
+
+
+def record_field(rec, name: str, kind):
+    """rec[name] when it is an instance of kind and not a bool, else ParseError naming it."""
+    value = rec[name]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ParseError(f"missing or malformed field: {name!r}")
+    return value
+
+
+def read_csv(path, header: list[str], parse) -> None:
+    """Check the header, then call ``parse(row)`` on each data row.
+
+    Empty rows and whitespace-only single-field rows are skipped; every
+    other row must have one field per header column. Line numbers count
+    the header as line 1. A RegimeBenchError from ``parse`` comes back as
+    its own type with the message ``<path>: line N: <message>``; so do a
+    wrong field count, a ``csv`` module error such as a field over its size
+    limit, and bytes that do not decode, each as ParseError.
+    """
+    line_no = 0  # records read so far, the header included
+    with Path(path).open(newline="") as fh:
+        rows = csv.reader(fh)
+        try:
+            first = next(rows, None)
+            line_no = 1
             if first is None or [h.strip() for h in first] != header:
-                raise ParseError(f"{path}: line 1: expected header {','.join(header)}")
-            for line_no, row in enumerate(reader, start=2):
+                raise ParseError(f"expected header {','.join(header)}")
+            for line_no, row in enumerate(rows, start=2):
                 if row and (len(row) > 1 or row[0].strip()):
-                    yield line_no, row
+                    if len(row) != len(header):
+                        raise ParseError(f"expected {len(header)} fields, got {len(row)}")
+                    parse(row)
+        except RegimeBenchError as exc:
+            raise type(exc)(f"{path}: line {line_no}: {exc}") from exc
+        except csv.Error as exc:  # raised while reading the record after line_no
+            raise ParseError(f"{path}: line {line_no + 1}: {exc}") from exc
         except UnicodeDecodeError as exc:
             # the decoder reads ahead of the rows, so scan the bytes again for the first
             # line that does not decode: the one that dropping its bad bytes changes

@@ -103,29 +103,26 @@ def _read_external_rows(path, lengths: dict[tuple[str, int], int]):
     """
     series: dict[tuple[str, int], dict[int, float]] = {}
     methods: set[str] = set()
-    last_key = None
-    for line_no, row in formats.read_csv(path, EXTERNAL_HEADER):
-        if len(row) != 5:
-            raise ParseError(f"{path}: line {line_no}: expected 5 fields")
+    key = rows = T = None  # files list each episode in one block; cache its look-ups
+
+    def parse(row):
+        nonlocal key, rows, T
         try:
-            key = (row[0], int(row[1]))
+            row_key = (row[0], int(row[1]))
             t = int(row[2])
             value = float(row[3])
         except ValueError as exc:
-            raise ParseError(f"{path}: line {line_no}: bad imputation row") from exc
+            raise ParseError("bad imputation row") from exc
         methods.add(row[4].strip())
-        if key != last_key:  # files list each episode in one block; cache its look-ups
-            last_key, rows, T = key, series.setdefault(key, {}), lengths.get(key)
+        if row_key != key:
+            key, rows, T = row_key, series.setdefault(row_key, {}), lengths.get(row_key)
         if t in rows:
-            raise ParseError(
-                f"{path}: line {line_no}: repeats t={t} for episode {key[0]}/{key[1]}"
-            )
+            raise ParseError(f"repeats t={t} for episode {key[0]}/{key[1]}")
         if T is not None and not 0 <= t < T:
-            raise CoverageError(
-                f"{path}: line {line_no}: t={t} outside [0, {T}) "
-                f"for episode {key[0]}/{key[1]}"
-            )
+            raise CoverageError(f"t={t} outside [0, {T}) for episode {key[0]}/{key[1]}")
         rows[t] = value
+
+    formats.read_csv(path, EXTERNAL_HEADER, parse)
     if len(methods) != 1:
         raise ParseError(f"{path}: expected exactly one method per file, found {sorted(methods)}")
     return methods.pop(), {key: (np.array([*rows]), np.array([*rows.values()]))

@@ -198,16 +198,15 @@ def write_masks_json(entries, path, provenance: str = "empirical", condition: st
 
 
 def _mask_record(rec) -> tuple[tuple[str, int], Mask]:
-    try:
-        key = (rec["patient_id"], rec["episode_id"])
-        T = rec["T"]
-        runs = [(g["start_index"], g["length_samples"]) for g in rec["gaps"]]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"missing or malformed field: {exc}") from exc
+    patient = formats.record_field(rec, "patient_id", str)
+    key = (patient, formats.record_field(rec, "episode_id", int))
+    T = rec["T"]
+    runs = [(g["start_index"], g["length_samples"]) for g in rec["gaps"]]
     if any(type(v) is not int for v in [T, *(x for run in runs for x in run)]) or T < 1:
         raise ParseError("T, start_index and length_samples must be integers, with T >= 1")
+    seed = formats.record_field(rec, "seed", int) if "seed" in rec else 0
     bits = runs_to_bits(T, runs)
-    return key, Mask(bits, seed=rec.get("seed", 0), provenance=rec.get("provenance", "empirical"))
+    return key, Mask(bits, seed=seed, provenance=rec.get("provenance", "empirical"))
 
 
 def read_masks_json(path):
@@ -217,16 +216,10 @@ def read_masks_json(path):
     the record's position in the ``masks`` list; so does a ``provenance`` or
     ``condition`` label that is not a string, naming the field.
     """
-    doc = formats.read_json(path, records="masks")
-    formats.require_strings(path, doc, ("provenance", "condition"))
+    meta, records = formats.read_records(path, "masks", _mask_record, ("provenance", "condition"))
     masks = {}
-    for i, rec in enumerate(doc["masks"]):
-        try:
-            key, mask = _mask_record(rec)
-        except (ParseError, DimensionError) as exc:
-            raise ParseError(f"{path}: masks[{i}]: {exc}") from exc
+    for i, (key, mask) in enumerate(records):
         if key in masks:
             raise ParseError(f"{path}: masks[{i}]: duplicate record for {key[0]}/{key[1]}")
         masks[key] = mask
-    meta = {k: v for k, v in doc.items() if k != "masks"}
     return meta, masks

@@ -261,14 +261,15 @@ _GROUP_FIELDS = {
 
 def read_report(path) -> list[dict]:
     """Load the groups of a report.json; a malformed group raises ParseError naming it."""
-    groups = formats.read_json(path, records="groups")["groups"]
-    for i, rec in enumerate(groups):
-        where = f"{path}: groups[{i}]"
-        if not isinstance(rec, dict):
-            raise ParseError(f"{where}: expected an object, got {type(rec).__name__}")
-        for name, kind in _GROUP_FIELDS.items():
-            if name not in rec:
-                raise ParseError(f"{where}: missing field {name!r}")
-            if not isinstance(rec[name], kind) or isinstance(rec[name], bool):
-                raise ParseError(f"{where}: field {name!r} has type {type(rec[name]).__name__}")
-    return groups
+    return formats.read_records(path, "groups", _group_record)[1]
+
+
+def _group_record(rec) -> dict:
+    if not isinstance(rec, dict):
+        raise ParseError(f"expected an object, got {type(rec).__name__}")
+    for name, kind in _GROUP_FIELDS.items():
+        if name not in rec:
+            raise ParseError(f"missing field {name!r}")
+        if not isinstance(rec[name], kind) or isinstance(rec[name], bool):
+            raise ParseError(f"field {name!r} has type {type(rec[name]).__name__}")
+    return rec

@@ -266,25 +266,25 @@ def write_windows_json(entries, path, protocol: str, condition: str | None = Non
 def read_windows_json(path):
     """Load windows; returns (metadata, [(patient_id, episode_id, RegimeWindow), ...]).
 
-    A record missing a required field raises ParseError naming the file and
-    the record's position in the ``windows`` list; so does a ``protocol`` or
-    ``condition`` label that is not a string, naming the field.
+    A record missing a field, or holding one of the wrong type, raises
+    ParseError naming the file, the record's position in the ``windows``
+    list and the field; so does a ``protocol`` or ``condition`` label that
+    is not a string, naming the label.
     """
-    doc = formats.read_json(path, records="windows")
-    formats.require_strings(path, doc, ("protocol", "condition"))
-    out = []
-    for i, rec in enumerate(doc["windows"]):
-        try:
-            key = (rec["patient_id"], rec["episode_id"])
-            window = RegimeWindow(
-                rec["protocol"], rec["start_index"], rec["end_index"],
-                *map(rec.get, ("anchor_index", "meal_index", "meal_carbs")),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{path}: windows[{i}]: missing or malformed field: {exc}") from exc
-        out.append((*key, window))
-    meta = {k: v for k, v in doc.items() if k != "windows"}
-    return meta, out
+    return formats.read_records(path, "windows", _window_record, ("protocol", "condition"))
+
+
+# a window record's fields and their JSON types; the optional ones may also be null or absent
+_WINDOW_FIELDS = (("patient_id", str), ("episode_id", int), ("protocol", str),
+                  ("start_index", int), ("end_index", int))
+_OPTIONAL_WINDOW_FIELDS = (("anchor_index", int), ("meal_index", int), ("meal_carbs", (int, float)))
+
+
+def _window_record(rec) -> tuple[str, int, RegimeWindow]:
+    patient, episode, *required = [formats.record_field(rec, *field) for field in _WINDOW_FIELDS]
+    optional = [formats.record_field(rec, name, (kind, type(None))) if name in rec else None
+                for name, kind in _OPTIONAL_WINDOW_FIELDS]
+    return patient, episode, RegimeWindow(*required, *optional)
 
 
 TCR_HEADER = ["patient_id", "episode_id", "tcr_start_index", "tcr_end_index"]
@@ -299,13 +299,14 @@ def write_tcr_csv(rows, path):
 
 def read_tcr_csv(path) -> dict[tuple[str, int], list[tuple[int, int]]]:
     out: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    for line_no, row in formats.read_csv(path, TCR_HEADER):
-        if len(row) != 4:
-            raise ParseError(f"{path}: line {line_no}: expected 4 fields")
+
+    def parse(row):
         try:
             key = (row[0], int(row[1]))
             interval = (int(row[2]), int(row[3]))
         except ValueError as exc:
-            raise ParseError(f"{path}: line {line_no}: bad TCR interval") from exc
+            raise ParseError("bad TCR interval") from exc
         out.setdefault(key, []).append(interval)
+
+    formats.read_csv(path, TCR_HEADER, parse)
     return out

@@ -813,3 +813,99 @@ class TestUndecodableInput:
             f"error: {bad}: invalid JSON: 'utf-8' codec can't decode byte 0xff in position 37: "
             "invalid start byte\n"
         )
+
+
+BIG_FIELD = "1" * 140_000  # over the csv module's default limit of 131,072 bytes per field
+TOO_BIG = "field larger than field limit (131072)"
+CGM_HEAD = ",".join(core.CGM_HEADER) + "\r\n"
+IMPUTATION_HEAD = ",".join(imputers.EXTERNAL_HEADER) + "\r\n"
+TCR_HEAD = ",".join(protocols.TCR_HEADER) + "\r\n"
+
+
+def _csv_case(kind, text, detail):
+    """A CSV file of kind holding text, read by the command that takes it."""
+
+    def build(fx, bad, out):
+        bad.write_text(text)
+        return {
+            "cgm": ["fit", "--input", bad, "--out", out / "model.json"],
+            "imputation": ["impute", "--input", fx["cgm"], "--masks", fx["masks"],
+                           "--external", bad, "--out", out / "out.csv"],
+            "tcr": ["stress", "--input", fx["cgm"], "--protocol", "C", "--tcr", bad,
+                    "--seed", 1, "--out", out / "C"],
+        }[kind], detail
+
+    return build
+
+
+def _record_edit(kind, field, value, command):
+    """A copy of the pipeline's masks or windows file with record 0's field set to value."""
+
+    def build(fx, bad, out):
+        doc = json.loads(fx[kind].read_text())
+        doc[kind][0][field] = value
+        bad.write_text(json.dumps(doc))
+        masks_path = bad if kind == "masks" else fx["masks"]
+        argv = [command, "--input", fx["cgm"], "--masks", masks_path, "--out", out / "out"]
+        if command == "impute":
+            argv += ["--method", "lerp"]
+        else:
+            argv += ["--imputed", fx["imputed"]["lerp"]]
+        if kind == "windows":
+            argv += ["--windows", bad]
+        return argv, f"{kind}[0]: missing or malformed field: '{field}'"
+
+    return build
+
+
+def _route_without_source(fx, bad, out):
+    assert run("stress", "--input", fx["cgm"], "--protocol", "B", "--n-peaks", 1,
+               "--seed", 5, "--out", out / "B") == 0
+    argv = ["route", "--input", fx["cgm"], "--masks", out / "B" / "masks.json",
+            "--out", out / "route"]
+    return argv, None
+
+
+READER_CASES = {
+    "cgm-big-header": _csv_case("cgm", f"patient_id,{BIG_FIELD}\r\n", f"line 1: {TOO_BIG}"),
+    "cgm-big-field": _csv_case(
+        "cgm", CGM_HEAD + f"p1,0,100.0,0,0,0\r\np1,5,100.0,0,0,{BIG_FIELD}\r\n",
+        f"line 3: {TOO_BIG}"),
+    "imputation-big-field": _csv_case(
+        "imputation",
+        IMPUTATION_HEAD + "".join(f"synth-001,0,{t},100.0,m\r\n" for t in range(3))
+        + f"synth-001,0,3,{BIG_FIELD},m\r\n",
+        f"line 5: {TOO_BIG}"),
+    "imputation-short-row": _csv_case(
+        "imputation", IMPUTATION_HEAD + "synth-001,0,0,100.0\r\n",
+        "line 2: expected 5 fields, got 4"),
+    "tcr-big-field": _csv_case(
+        "tcr", TCR_HEAD + f"synth-001,0,126,{BIG_FIELD}\r\n", f"line 2: {TOO_BIG}"),
+    "tcr-long-row": _csv_case(
+        "tcr", TCR_HEAD + "synth-001,0,126,174,9\r\n", "line 2: expected 4 fields, got 5"),
+    "masks-patient-list": _record_edit("masks", "patient_id", ["x"], "evaluate"),
+    "masks-episode-bool": _record_edit("masks", "episode_id", True, "evaluate"),
+    "masks-seed-list": _record_edit("masks", "seed", [1], "impute"),
+    "masks-seed-text": _record_edit("masks", "seed", "x", "impute"),
+    "masks-seed-float": _record_edit("masks", "seed", 1.5, "impute"),
+    "windows-start-text": _record_edit("windows", "start_index", "x", "evaluate"),
+    "windows-anchor-text": _record_edit("windows", "anchor_index", "x", "evaluate"),
+    "route-no-source": _route_without_source,
+}
+
+
+class TestReaderContract:
+    """Malformed input exits 1 with one error line naming the file and the line or record."""
+
+    @pytest.mark.parametrize("case", list(READER_CASES))
+    def test_error_names_the_file_and_the_record(self, pipeline, tmp_path, capsys, case):
+        bad = tmp_path / "bad"
+        argv, detail = READER_CASES[case](pipeline, bad, tmp_path)
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        if detail is None:  # route names the episode whose transient gap has no source
+            assert re.fullmatch(r"error: transient gap at index \d+ \(length \d+\) has no "
+                                r"external source for synth-001/\d+\n", err)
+        else:
+            assert err == f"error: {bad}: {detail}\n"
