@@ -1,4 +1,11 @@
-"""Command-line surface: synth, fit, mask, stress, impute, evaluate, calibrate, route, report."""
+"""Command-line surface: synth, fit, mask, stress, impute, evaluate, calibrate, route, report.
+
+Each command runs in a fresh process, so each imports only the modules it
+runs: at module level this file imports just ``errors`` and ``core``, and
+every ``cmd_*`` (or the helper it calls) imports the rest. Only ``fit``
+loads scipy. ``ingest_csv`` and ``export_csv`` stay names of this module,
+looked up at call time, so that a caller can replace them here.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +15,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import formats, imputers, masks, metrics, missingness, protocols, router, synth
 from .core import export_csv, ingest_csv, split_mask
-from .errors import ConfigError, CoverageError, EstimationError, FitError, RegimeBenchError
+from .errors import ConfigError, CoverageError, EstimationError, FitError, ParseError, RegimeBenchError
 
 PROTOCOL_LABELS = {
     "empirical": "empirical",
@@ -18,6 +24,9 @@ PROTOCOL_LABELS = {
     "protocol_B": "B",
     "protocol_C": "C",
 }
+# the --method choices, kept here so that building the parser imports no imputers;
+# a test pins them to sorted(imputers.BUILTIN_IMPUTERS)
+IMPUTE_METHODS = ("lerp", "locf", "mean", "median")
 
 
 def _worker_cap() -> int:
@@ -48,6 +57,8 @@ def _load_pairs(args):
     The mask file defines the episode set, in sorted key order. Each pair must
     pass the pairing rule of core.split_mask; its error gains the episode's key.
     """
+    from . import masks
+
     episodes = ingest_csv(args.input, args.partition_gap)
     meta, mask_map = masks.read_masks_json(args.masks)
     by_key = {(ep.patient_id, ep.episode_id): ep for ep in episodes}
@@ -65,6 +76,8 @@ def _load_pairs(args):
 
 def _load_imputed(paths, pairs):
     """load_external for each --imputed file in turn; one file per method."""
+    from . import imputers
+
     seen = {}
     for path in paths:
         imputations = imputers.load_external(path, pairs)
@@ -77,6 +90,8 @@ def _load_imputed(paths, pairs):
 
 
 def cmd_synth(args) -> int:
+    from . import synth
+
     try:
         meal_times = tuple(int(v) for v in args.meal_times.split(",") if v.strip())
     except ValueError:
@@ -100,6 +115,8 @@ def cmd_synth(args) -> int:
         print(paths[name])
     if args.gap_model is not None:
         # additionally emit a realistically gapped copy, for fitting exercises
+        from . import masks, missingness
+
         model = missingness.load_model(args.gap_model)
         samples = masks.sample_masks(result.episodes, model, args.gap_seed)
         gapped = [masks.apply_mask(ep, mask) for ep, mask in zip(result.episodes, samples)]
@@ -110,6 +127,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from . import missingness
+
     episodes = ingest_csv(args.input, args.partition_gap)
     gaps, onset = missingness.fit_onsets(episodes)
     print("onset probabilities:", " ".join(f"{p:.4f}" for p in onset))
@@ -124,6 +143,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_mask(args) -> int:
+    from . import masks, missingness
+
     episodes = ingest_csv(args.input, args.partition_gap)
     model = missingness.load_model(args.model)
     samples = masks.sample_masks(episodes, model, args.seed)
@@ -138,6 +159,8 @@ _CONDITIONS = {"A": "ratio={ratio:g}", "B": "peaks={n_peaks}", "C": "hypo={hypo_
 
 def _protocol_mask(args, ep, tcr_map):
     """One episode's (mask, windows) under --protocol."""
+    from . import masks, protocols
+
     if args.protocol == "C":
         intervals = tcr_map.get((ep.patient_id, ep.episode_id), [])
         return protocols.build_hypo_masks(ep, intervals, args.hypo_window_min)
@@ -149,6 +172,8 @@ def _protocol_mask(args, ep, tcr_map):
 
 
 def cmd_stress(args) -> int:
+    from . import masks, protocols
+
     episodes = ingest_csv(args.input, args.partition_gap)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -176,6 +201,8 @@ def cmd_stress(args) -> int:
 
 
 def cmd_impute(args) -> int:
+    from . import imputers
+
     _, pairs = _load_pairs(args)
     if args.external is not None:
         imputations = imputers.load_external(args.external, pairs)
@@ -187,14 +214,43 @@ def cmd_impute(args) -> int:
     return 0
 
 
+def _check_windows(path, protocol: str, condition: str, pairs) -> None:
+    """Check a --windows file against the masks it came with; ParseError naming it if not.
+
+    Its ``protocol`` and ``condition`` labels and each record's ``protocol``
+    must equal the masks' labels, and each record must name an episode of
+    the masks file and satisfy ``0 <= start_index < end_index <= T``.
+    """
+    from . import protocols
+
+    meta, windows = protocols.read_windows_json(path)
+    for name, want in (("protocol", protocol), ("condition", condition)):
+        if meta.get(name, want) != want:
+            raise ParseError(f"{path}: {name} {meta[name]!r} does not match the masks file's "
+                             f"{want!r}")
+    lengths = {(ep.patient_id, ep.episode_id): mask.T for ep, mask in pairs}
+    for i, (patient, episode, w) in enumerate(windows):
+        T = lengths.get((patient, episode))
+        if T is None:
+            problem = f"episode {patient}/{episode} is not in the masks file"
+        elif w.protocol != protocol:
+            problem = f"protocol {w.protocol!r} does not match the masks file's {protocol!r}"
+        elif not 0 <= w.start_index < w.end_index <= T:
+            problem = (f"expected 0 <= start_index < end_index <= {T}, "
+                       f"got {w.start_index} and {w.end_index}")
+        else:
+            continue
+        raise ParseError(f"{path}: windows[{i}]: {problem}")
+
+
 def cmd_evaluate(args) -> int:
+    from . import formats, metrics
+
     meta, pairs = _load_pairs(args)
     protocol = PROTOCOL_LABELS.get(meta.get("provenance", "empirical"), "empirical")
     condition = meta.get("condition", "-")
     if args.windows is not None:
-        wmeta, _ = protocols.read_windows_json(args.windows)
-        protocol = wmeta.get("protocol", protocol)
-        condition = wmeta.get("condition", condition)
+        _check_windows(args.windows, protocol, condition, pairs)
     scored = [split_mask(mask.bits, ep.observed)[1].any() for ep, mask in pairs]
     entries = []
     for imputations in _load_imputed(args.imputed, pairs):
@@ -231,6 +287,8 @@ _CAL_FILTERS = {
 
 
 def cmd_calibrate(args) -> int:
+    from . import formats, metrics
+
     _, pairs = _load_pairs(args)
     if not pairs:
         raise CoverageError(f"{args.masks}: no mask records to calibrate")
@@ -260,6 +318,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_route(args) -> int:
+    from . import imputers, protocols, router
+
     _, pairs = _load_pairs(args)
     if args.external is not None:
         externals = imputers.load_external(args.external, pairs)
@@ -286,6 +346,8 @@ def cmd_route(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import metrics
+
     table = metrics.render_table(metrics.read_report(args.input))
     Path(args.out).write_text(table)
     print(table, end="")
@@ -357,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--masks", required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--method", choices=sorted(imputers.BUILTIN_IMPUTERS))
+    group.add_argument("--method", choices=IMPUTE_METHODS)
     group.add_argument("--external", help="external imputation CSV")
     _add_partition_gap(p)
     p.add_argument("--out", required=True, help="imputed CSV path")

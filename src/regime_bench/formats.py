@@ -67,10 +67,12 @@ def read_records(path, name: str, parse, labels=()) -> tuple[dict, list]:
 
     Returns the document's other keys and ``parse(record)`` of each record.
     A missing or non-list ``name`` and a label in ``labels`` that is present
-    but not a string raise ParseError naming the file. A RegimeBenchError
-    from ``parse`` comes back as ParseError ``<path>: <name>[i]: <message>``;
-    a KeyError or TypeError, from indexing a record that lacks a field or is
-    not an object, as ``<path>: <name>[i]: missing or malformed field: ...``.
+    but not a string raise ParseError naming the file. A record that is not
+    an object raises ParseError ``<path>: <name>[i]: expected an object, got
+    <type>``. A RegimeBenchError from ``parse`` comes back as ParseError
+    ``<path>: <name>[i]: <message>``; a KeyError or TypeError, from indexing
+    a record that lacks a field, as ``<path>: <name>[i]: missing or
+    malformed field: ...``.
     """
     doc = read_json(path)
     records = doc.pop(name, None)
@@ -81,6 +83,8 @@ def read_records(path, name: str, parse, labels=()) -> tuple[dict, list]:
             raise ParseError(f"{path}: {label!r} must be a string")
     parsed = []
     for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ParseError(f"{path}: {name}[{i}]: expected an object, got {type(rec).__name__}")
         try:
             parsed.append(parse(rec))
         except (KeyError, TypeError) as exc:

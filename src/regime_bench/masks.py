@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -63,6 +62,8 @@ def round5(x: float) -> int:
 
 def derive_seed(master_seed: int, patient_id: str, episode_id: int) -> int:
     """Stable per-episode stream seed, independent of execution order."""
+    import hashlib  # only the commands that derive seeds pay for loading it
+
     digest = hashlib.sha256(f"{master_seed}:{patient_id}:{episode_id}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -73,15 +74,26 @@ def _trunc_exp_ppf(u: float, k: float) -> float:
     return DELTA_MIN_SUSTAINED - math.log1p(-u * c) / k
 
 
+def _ndtr(x: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def _trunc_norm_ppf(u: float, mu: float, sigma: float) -> float:
-    from scipy.special import ndtr, ndtri  # scipy loads only where it is called
+    """Quantile u of N(mu, sigma) truncated to [10, 240], from the standard library.
+
+    It differs from scipy's ndtr/ndtri in the last bits only; sample_duration
+    rounds to the 5-minute grid, and tests pin the rounded durations to the
+    scipy formula.
+    """
+    from statistics import NormalDist  # loaded only when a Gaussian duration is drawn
 
     if sigma <= 1e-12:
         return min(max(mu, DELTA_MIN_SUSTAINED), DELTA_MAX)
-    lo = ndtr((DELTA_MIN_SUSTAINED - mu) / sigma)
-    hi = ndtr((DELTA_MAX - mu) / sigma)
+    lo = _ndtr((DELTA_MIN_SUSTAINED - mu) / sigma)
+    hi = _ndtr((DELTA_MAX - mu) / sigma)
     p = min(max(lo + u * (hi - lo), 1e-15), 1.0 - 1e-15)
-    return mu + sigma * float(ndtri(p))
+    return mu + sigma * NormalDist().inv_cdf(p)
 
 
 def sample_duration(model: MissingnessModel, regime: str, rng) -> int:
@@ -201,7 +213,11 @@ def _mask_record(rec) -> tuple[tuple[str, int], Mask]:
     patient = formats.record_field(rec, "patient_id", str)
     key = (patient, formats.record_field(rec, "episode_id", int))
     T = rec["T"]
-    runs = [(g["start_index"], g["length_samples"]) for g in rec["gaps"]]
+    gaps = formats.record_field(rec, "gaps", list)
+    for j, gap in enumerate(gaps):
+        if not isinstance(gap, dict):
+            raise ParseError(f"gaps[{j}]: expected an object, got {type(gap).__name__}")
+    runs = [(g["start_index"], g["length_samples"]) for g in gaps]
     if any(type(v) is not int for v in [T, *(x for run in runs for x in run)]) or T < 1:
         raise ParseError("T, start_index and length_samples must be integers, with T >= 1")
     seed = formats.record_field(rec, "seed", int) if "seed" in rec else 0

@@ -265,8 +265,6 @@ def read_report(path) -> list[dict]:
 
 
 def _group_record(rec) -> dict:
-    if not isinstance(rec, dict):
-        raise ParseError(f"expected an object, got {type(rec).__name__}")
     for name, kind in _GROUP_FIELDS.items():
         if name not in rec:
             raise ParseError(f"missing field {name!r}")

@@ -21,6 +21,18 @@ from regime_bench.router import RoutingDecision
 from regime_bench.synth import REGIME_NAMES
 
 
+def scipy_trunc_norm_ppf(u, mu, sigma):
+    """masks._trunc_norm_ppf as scipy's ndtr and ndtri compute it; the oracle for the stdlib one."""
+    from scipy.special import ndtr, ndtri
+
+    if sigma <= 1e-12:
+        return min(max(mu, DELTA_MIN_SUSTAINED), DELTA_MAX)
+    lo = ndtr((DELTA_MIN_SUSTAINED - mu) / sigma)
+    hi = ndtr((DELTA_MAX - mu) / sigma)
+    p = min(max(lo + u * (hi - lo), 1e-15), 1.0 - 1e-15)
+    return mu + sigma * float(ndtri(p))
+
+
 def make_episode(
     glucose,
     start_minute=0,

@@ -621,19 +621,25 @@ class TestWorkerCap:
         assert run("synth", "--days", 1, "--out", tmp_path / "fx") == 0
 
 
-def _scipy_modules_after(code):
-    """Run code in a fresh interpreter; returns the scipy modules it loaded."""
+def _last_line_of(code):
+    """Run code in a fresh interpreter with this package importable; returns its last output line."""
     src = Path(cli.__file__).resolve().parents[1]
     path = [str(src), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
 
 
+def _scipy_modules_after(code):
+    """Run code in a fresh interpreter; returns the scipy modules it loaded."""
+    return _last_line_of(
+        code + "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+
+
 class TestScipyLoadedOnlyWhereCalled:
-    """Only fit, mask and synth --gap-model call scipy; no other path loads it."""
+    """Only fit calls scipy; no other path loads it."""
 
     def test_importing_the_package_loads_no_scipy(self):
         assert _scipy_modules_after("import regime_bench, regime_bench.cli") == "[]"
@@ -653,6 +659,55 @@ class TestScipyLoadedOnlyWhereCalled:
         )
         assert _scipy_modules_after(code) == "[]"
         assert (tmp_path / "eval" / "report.json").exists()
+
+
+# module -> the commands that load it; no other command may
+LOADED_ONLY_BY = {
+    "regime_bench.router": {"route"},
+    "regime_bench.synth": {"synth"},
+    "regime_bench.metrics": {"evaluate", "calibrate", "report"},
+    "regime_bench.imputers": {"impute", "evaluate", "calibrate", "route"},
+    "scipy": {"fit"},
+}
+
+
+class TestEachCommandLoadsOnlyWhatItRuns:
+    """Each command, in a fresh interpreter, imports only the modules it runs."""
+
+    def test_modules_loaded_by_each_command(self, tmp_path):
+        model = tmp_path / "bootstrap.json"
+        missingness.save_model(build_injected_model(), model)
+        cgm, gapped, fx = tmp_path / "cgm.csv", tmp_path / "cgm_gapped.csv", tmp_path
+        steps = [
+            ["synth", "--days", 8, "--hypo-depth", 12, "--noise-std", 1.0, "--seed", 3,
+             "--gap-model", model, "--gap-seed", 5, "--out", fx],
+            ["fit", "--input", gapped, "--min-gaps", 1, "--out", fx / "model.json"],
+            ["mask", "--input", cgm, "--model", model, "--seed", 1, "--out", fx / "masks.json"],
+            ["stress", "--input", cgm, "--protocol", "A", "--seed", 1, "--out", fx / "A"],
+            ["impute", "--input", cgm, "--masks", fx / "A" / "masks.json", "--method", "lerp",
+             "--out", fx / "lerp.csv"],
+            ["evaluate", "--input", cgm, "--imputed", fx / "lerp.csv",
+             "--masks", fx / "A" / "masks.json", "--windows", fx / "A" / "windows.json",
+             "--out", fx / "eval"],
+            ["calibrate", "--input", cgm, "--imputed", fx / "lerp.csv",
+             "--masks", fx / "A" / "masks.json", "--out", fx / "cal"],
+            ["route", "--input", cgm, "--masks", fx / "A" / "masks.json", "--external",
+             fx / "lerp.csv", "--out", fx / "route"],
+            ["report", "--input", fx / "eval" / "report.json", "--out", fx / "table.txt"],
+        ]
+        names = sorted(LOADED_ONLY_BY)
+        for step in steps:
+            argv = [str(a) for a in step]
+            loaded = _last_line_of(
+                "import sys\nfrom regime_bench.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                f"print(sorted(m for m in {names!r} if m in sys.modules))"
+            )
+            expected = [m for m in names if argv[0] in LOADED_ONLY_BY[m]]
+            assert loaded == str(expected), argv[0]
+
+    def test_method_choices_are_the_builtin_imputers(self):
+        assert list(cli.IMPUTE_METHODS) == sorted(imputers.BUILTIN_IMPUTERS)
 
 
 @pytest.fixture(scope="module")
@@ -838,12 +893,12 @@ def _csv_case(kind, text, detail):
     return build
 
 
-def _record_edit(kind, field, value, command):
-    """A copy of the pipeline's masks or windows file with record 0's field set to value."""
+def _doc_edit(kind, edit, detail, command="evaluate"):
+    """A copy of the pipeline's masks or windows file changed in place by edit(doc)."""
 
     def build(fx, bad, out):
         doc = json.loads(fx[kind].read_text())
-        doc[kind][0][field] = value
+        edit(doc)
         bad.write_text(json.dumps(doc))
         masks_path = bad if kind == "masks" else fx["masks"]
         argv = [command, "--input", fx["cgm"], "--masks", masks_path, "--out", out / "out"]
@@ -853,9 +908,35 @@ def _record_edit(kind, field, value, command):
             argv += ["--imputed", fx["imputed"]["lerp"]]
         if kind == "windows":
             argv += ["--windows", bad]
-        return argv, f"{kind}[0]: missing or malformed field: '{field}'"
+        return argv, detail
 
     return build
+
+
+def _record_edit(kind, field, value, command):
+    """A copy of the pipeline's masks or windows file with record 0's field set to value."""
+
+    def edit(doc):
+        doc[kind][0][field] = value
+
+    return _doc_edit(kind, edit, f"{kind}[0]: missing or malformed field: '{field}'", command)
+
+
+def _first_window(detail, **fields):
+    """A copy of the pipeline's windows file with record 0 updated by fields."""
+    return _doc_edit("windows", lambda doc: doc["windows"][0].update(fields), detail)
+
+
+def _protocol_a_windows_on_b_masks(fx, bad, out):
+    masks_b, lerp_b = out / "B" / "masks.json", out / "lerp_b.csv"
+    assert run("stress", "--input", fx["cgm"], "--protocol", "B", "--n-peaks", 1,
+               "--seed", 5, "--out", out / "B") == 0
+    assert run("impute", "--input", fx["cgm"], "--masks", masks_b, "--method", "lerp",
+               "--out", lerp_b) == 0
+    bad.write_bytes(fx["windows"].read_bytes())
+    argv = ["evaluate", "--input", fx["cgm"], "--imputed", lerp_b, "--masks", masks_b,
+            "--windows", bad, "--out", out / "eval"]
+    return argv, "protocol 'A' does not match the masks file's 'B'"
 
 
 def _route_without_source(fx, bad, out):
@@ -891,6 +972,35 @@ READER_CASES = {
     "windows-start-text": _record_edit("windows", "start_index", "x", "evaluate"),
     "windows-anchor-text": _record_edit("windows", "anchor_index", "x", "evaluate"),
     "route-no-source": _route_without_source,
+    "masks-record-int": _doc_edit("masks", lambda doc: doc["masks"].insert(0, 5),
+                                  "masks[0]: expected an object, got int", "impute"),
+    "masks-gaps-int": _record_edit("masks", "gaps", 5, "impute"),
+    "masks-gap-text": _doc_edit("masks", lambda doc: doc["masks"][0].update(gaps=["x"]),
+                                "masks[0]: gaps[0]: expected an object, got str", "impute"),
+    "windows-record-text": _doc_edit("windows", lambda doc: doc["windows"].insert(0, "x"),
+                                     "windows[0]: expected an object, got str"),
+    "windows-unknown-episode": _first_window(
+        "windows[0]: episode synth-001/999 is not in the masks file",
+        episode_id=999, start_index=1_000_000, end_index=5),
+    # every episode of the protocol fixture is one day, 288 samples
+    "windows-past-the-end": _first_window(
+        "windows[0]: expected 0 <= start_index < end_index <= 288, got 1000000 and 5",
+        start_index=1_000_000, end_index=5),
+    "windows-negative-start": _first_window(
+        "windows[0]: expected 0 <= start_index < end_index <= 288, got -1 and 5",
+        start_index=-1, end_index=5),
+    "windows-empty": _first_window(
+        "windows[0]: expected 0 <= start_index < end_index <= 288, got 5 and 5",
+        start_index=5, end_index=5),
+    "windows-end-past-t": _first_window(
+        "windows[0]: expected 0 <= start_index < end_index <= 288, got 280 and 289",
+        start_index=280, end_index=289),
+    "windows-record-protocol": _first_window(
+        "windows[0]: protocol 'B' does not match the masks file's 'A'", protocol="B"),
+    "windows-condition": _doc_edit(
+        "windows", lambda doc: doc.update(condition="ratio=0.1"),
+        "condition 'ratio=0.1' does not match the masks file's 'ratio=0.2'"),
+    "windows-on-other-protocol": _protocol_a_windows_on_b_masks,
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_episode
+from helpers import make_episode, scipy_trunc_norm_ppf
 from regime_bench import masks as mk
 from regime_bench import missingness as mz
 from regime_bench.errors import DimensionError, IntegrityError, ParseError
@@ -48,6 +48,31 @@ class TestSampleDuration:
             _, pmf = mk.sampled_duration_pmf(mixture)
             assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
             assert (pmf >= 0).all()
+
+
+class TestTruncNormQuantile:
+    """The stdlib quantile may differ from scipy's in the last bits, never in a duration."""
+
+    def test_rounded_durations_equal_scipy_oracle(self):
+        rng = np.random.default_rng(11)
+        n = 100_000
+        draws = zip(rng.random(n).tolist(), rng.uniform(-50.0, 300.0, n).tolist(),
+                    np.exp(rng.uniform(np.log(0.05), np.log(300.0), n)).tolist())
+
+        def duration(x):
+            return min(max(mk.round5(x), mz.DELTA_MIN_SUSTAINED), mz.DELTA_MAX)
+
+        differ = [(u, mu, sigma) for u, mu, sigma in draws
+                  if duration(mk._trunc_norm_ppf(u, mu, sigma))
+                  != duration(scipy_trunc_norm_ppf(u, mu, sigma))]
+        assert differ == []
+
+    def test_close_to_scipy_oracle(self):
+        rng = np.random.default_rng(7)
+        for u, mu, sigma in zip(rng.random(1000), rng.uniform(0, 250, 1000),
+                                rng.uniform(1, 100, 1000)):
+            assert mk._trunc_norm_ppf(u, mu, sigma) == pytest.approx(
+                scipy_trunc_norm_ppf(u, mu, sigma), rel=1e-12, abs=1e-12)
 
 
 class TestGenerateMask:
