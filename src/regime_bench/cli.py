@@ -18,12 +18,6 @@ from pathlib import Path
 from .core import export_csv, ingest_csv, split_mask
 from .errors import ConfigError, CoverageError, EstimationError, FitError, ParseError, RegimeBenchError
 
-PROTOCOL_LABELS = {
-    "empirical": "empirical",
-    "protocol_A": "A",
-    "protocol_B": "B",
-    "protocol_C": "C",
-}
 # the --method choices, kept here so that building the parser imports no imputers;
 # a test pins them to sorted(imputers.BUILTIN_IMPUTERS)
 IMPUTE_METHODS = ("lerp", "locf", "mean", "median")
@@ -247,7 +241,7 @@ def cmd_evaluate(args) -> int:
     from . import formats, metrics
 
     meta, pairs = _load_pairs(args)
-    protocol = PROTOCOL_LABELS.get(meta.get("provenance", "empirical"), "empirical")
+    protocol = meta.get("provenance", "empirical").removeprefix("protocol_")
     condition = meta.get("condition", "-")
     if args.windows is not None:
         _check_windows(args.windows, protocol, condition, pairs)

@@ -232,9 +232,9 @@ def _read_columns(path) -> dict[str, np.ndarray] | None:
     if (np.any(present < GLUCOSE_MIN) or np.any(present > GLUCOSE_MAX)
             or not np.isfinite(exog).all() or np.any(exog < 0)):
         return None
-    bounds = np.cumsum([0] + [n for _, n in patients]).tolist()
+    ends = [start for _, start in patients[1:]] + [len(table)]
     parts = defaultdict(list)
-    for (patient, _), lo, hi in zip(patients, bounds, bounds[1:]):
+    for (patient, lo), hi in zip(patients, ends):
         parts[patient].append(table[lo:hi])
     rows = {}
     for patient, runs in parts.items():

@@ -161,19 +161,12 @@ def write_lines(path, header: list[str], chunks) -> None:
 
 BLOCK_BYTES = 1 << 17  # larger blocks read no faster and leave the allocator more to keep
 MAX_FIELD_BYTES = 64  # bounds the (lines, width) cells gathered for each field of a block
-MAX_INT_DIGITS = 15  # below 2**53, so every integer is exact in the float64 table
 
 # bytes a canonical file never holds: non-ASCII, NUL, '"', and what str.strip removes
 # apart from the line ends, which the block parser checks itself
 _FORBIDDEN = np.zeros(256, dtype=bool)
 _FORBIDDEN[0x80:] = True
 _FORBIDDEN[[0x00, 0x09, 0x0B, 0x0C, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x22]] = True
-# bytes of a canonical number; 0 pads the gathered cells. Python's float() also takes
-# "nan", "inf", "1_0" and spaces, which must reach the row reader's checks instead
-_NUMBER = np.zeros(256, dtype=bool)
-_NUMBER[list(b"0123456789.eE+-\0")] = True
-_DIGIT = np.zeros(256, dtype=bool)
-_DIGIT[list(b"0123456789\0")] = True
 
 
 def read_columns(path, header: list[str], kinds: str):
@@ -182,15 +175,17 @@ def read_columns(path, header: list[str], kinds: str):
     kinds has one letter per column: "t" text, "i" integer, "f" float. The
     integer and float columns fill one float64 table, in column order, with
     NaN for an empty float field; each text column comes back as a list of
-    ``(value, rows)`` runs of equal consecutive values. So the result is
-    ``(table, [runs, ...])``.
+    ``(value, first_row)`` runs of equal consecutive values. So the result
+    is ``(table, [runs, ...])``.
 
-    Canonical form: the exact header; every line ending in ``\\n``, or every
-    one in ``\\r\\n``, the last one optionally unterminated; at least one
-    data line and no blank line; ASCII only, with no '"', NUL or byte that
-    str.strip removes; exactly one comma per column boundary on every line;
-    fields of at most 64 bytes; non-empty text fields; integers matching
-    ``-?[0-9]{1,15}``; floats of the bytes ``[0-9.eE+-]`` that float() reads.
+    Canonical form: the exact header; lines ending in ``\\n`` or ``\\r\\n``,
+    the last one optionally unterminated; at least one data line and no
+    blank line; ASCII only, with no '"', NUL or byte that str.strip removes;
+    exactly one comma per column boundary on every line; fields of at most
+    64 bytes; non-empty text and integer fields. Numbers are cast by numpy,
+    which calls the int() and float() of the row readers; a float field
+    that reads as NaN and an integer beyond 2**53 are not canonical, since
+    the table could not tell them from an empty field or hold them exactly.
     A file in that form reads to the same values through csv.reader. The
     file is read twice, once to count lines and once in blocks of 128 KiB
     parsed into the preallocated table, so memory stays at the table plus
@@ -201,10 +196,8 @@ def read_columns(path, header: list[str], kinds: str):
         with Path(path).open("rb") as fh:
             lines = sum(block.count(b"\n") for block in iter(lambda: fh.read(BLOCK_BYTES), b""))
             fh.seek(0)
-            first = fh.readline(len(head) + 2)
-            if first not in (head + b"\n", head + b"\r\n"):
+            if fh.readline(len(head) + 2) not in (head + b"\n", head + b"\r\n"):
                 return None
-            crlf = first.endswith(b"\r\n")
             table = np.empty((lines, kinds.count("i") + kinds.count("f")))
             runs = [[] for _ in range(kinds.count("t"))]
             filled, carry = 0, b""
@@ -216,17 +209,14 @@ def read_columns(path, header: list[str], kinds: str):
                 if len(carry) > BLOCK_BYTES:
                     return None
                 if cut:
-                    parsed = _parse_block(memoryview(buf)[:cut], crlf, kinds)
+                    parsed = _parse_block(memoryview(buf)[:cut], kinds, filled)
                     if parsed is None:
                         return None
                     numbers, texts = parsed
                     table[filled : filled + len(numbers)] = numbers
                     filled += len(numbers)
-                    for column, new in zip(runs, texts):
-                        if column and column[-1][0] == new[0][0]:  # a run across the cut
-                            column[-1] = (new[0][0], column[-1][1] + new[0][1])
-                            new = new[1:]
-                        column.extend(new)
+                    for column, new in zip(runs, texts):  # a run across the cut goes on
+                        column.extend(new[1:] if column and column[-1][0] == new[0][0] else new)
                 if not data:
                     break
     except OSError:
@@ -236,15 +226,16 @@ def read_columns(path, header: list[str], kinds: str):
     return table[:filled], runs
 
 
-def _parse_block(buf: bytes, crlf: bool, kinds: str):
+def _parse_block(buf: bytes, kinds: str, first_row: int):
     """Numbers ``(m, k)`` and text runs of the whole lines in buf, or None if not canonical."""
     b = np.frombuffer(buf, dtype=np.uint8)
     if _FORBIDDEN[b].any():
         return None
-    newlines = np.flatnonzero(b == 0x0A)
-    ends = newlines - crlf
-    if not np.array_equal(np.flatnonzero(b == 0x0D), ends if crlf else ends[:0]):
+    # csv.reader ends a line at "\n" or "\r\n", and at a "\r" alone, which declines
+    if b[-1] == 0x0D or np.any(b[np.flatnonzero(b == 0x0D) + 1] != 0x0A):
         return None
+    newlines = np.flatnonzero(b == 0x0A)
+    ends = newlines - (b[newlines - 1] == 0x0D)  # b[-1] for a leading "\n" is no "\r"
     starts = np.append(0, newlines + 1)
     if b[-1] != 0x0A:  # the file's unterminated last line
         ends = np.append(ends, b.size)
@@ -260,7 +251,7 @@ def _parse_block(buf: bytes, crlf: bool, kinds: str):
         return None
     padded = sliding_window_view(np.append(b, np.zeros(MAX_FIELD_BYTES, np.uint8)),
                                  MAX_FIELD_BYTES)
-    numbers, texts = np.empty((ends.size, len(kinds) - kinds.count("t"))), []
+    numbers, texts = np.full((ends.size, len(kinds) - kinds.count("t")), np.nan), []
     column = 0
     for j, kind in enumerate(kinds):
         w = max(int(width[:, j].max()), 1)
@@ -269,26 +260,20 @@ def _parse_block(buf: bytes, crlf: bool, kinds: str):
         if kind == "t":
             if not width[:, j].all():
                 return None
-            change = np.flatnonzero(strings[1:] != strings[:-1]) + 1
-            counts = np.diff(np.append(change, strings.size), prepend=0)
-            texts.append([(strings[i].decode("ascii"), n)
-                          for i, n in zip(np.append(0, change).tolist(), counts.tolist())])
+            change = np.append(0, np.flatnonzero(strings[1:] != strings[:-1]) + 1)
+            texts.append([(strings[i].decode("ascii"), first_row + i) for i in change.tolist()])
             continue
-        if kind == "i":
-            sign = cells[:, 0] == 0x2D
-            digits = width[:, j] - sign
-            valid = _DIGIT[cells]
-            valid[:, 0] |= sign
-            if not valid.all() or digits.min() < 1 or digits.max() > MAX_INT_DIGITS:
-                return None
-        elif not _NUMBER[cells].all():
-            return None
-        present = width[:, j] > 0
+        present = width[:, j] > 0 if kind == "f" else slice(None)  # int() rejects b""
         try:
             values = strings[present].astype(np.int64 if kind == "i" else np.float64)
-        except ValueError:  # not a number that int() or float() reads
+        except (ValueError, OverflowError):  # not a number that int() or float() reads
             return None
-        numbers[:, column] = np.nan
+        # what the table cannot keep: a NaN, which marks an empty float field, and an
+        # integer beyond 2**53, which float64 does not hold exactly
+        if kind == "f" and np.isnan(values).any():
+            return None
+        if kind == "i" and (values.min() < -2**53 or values.max() > 2**53):
+            return None
         numbers[present, column] = values
         column += 1
     return numbers, texts

@@ -136,10 +136,10 @@ def load_external(path, pairs: list[tuple[Episode, Mask]]) -> list[Imputation]:
     the result follows their order. Every episode must be fully covered,
     and values at retained indices must echo the observed glucose within 1e-6.
     """
-    columns = _load_external_columns(path, pairs)
+    lengths = {(ep.patient_id, ep.episode_id): ep.T for ep, _ in pairs}
+    columns = _load_external_columns(path, pairs, lengths)
     if columns is not None:
         return columns
-    lengths = {(ep.patient_id, ep.episode_id): ep.T for ep, _ in pairs}
     return _checked(path, *_read_external_rows(path, lengths), pairs)
 
 
@@ -176,7 +176,8 @@ def _checked(path, method: str, series, pairs: list[tuple[Episode, Mask]]) -> li
     return out
 
 
-def _load_external_columns(path, pairs: list[tuple[Episode, Mask]]) -> list[Imputation] | None:
+def _load_external_columns(path, pairs: list[tuple[Episode, Mask]],
+                           lengths: dict[tuple[str, int], int]) -> list[Imputation] | None:
     """load_external's result from a canonical file, or None to leave the file to its rows.
 
     None stands for each file on which the row reader raises and names the
@@ -192,11 +193,10 @@ def _load_external_columns(path, pairs: list[tuple[Episode, Mask]]) -> list[Impu
     if len(methods) != 1 or np.isnan(value).any():  # NaN stands for an empty value field
         return None
     # an episode's block starts wherever the patient or the episode id changes
-    patient_starts = np.cumsum([0] + [n for _, n in patients[:-1]])
+    patient_starts = [start for _, start in patients]
     starts = np.union1d(patient_starts, np.flatnonzero(np.diff(episode)) + 1)
     ends = np.append(starts[1:], len(table))
     owners = np.searchsorted(patient_starts, starts, side="right") - 1
-    lengths = {(ep.patient_id, ep.episode_id): ep.T for ep, _ in pairs}
     series = {}
     for lo, hi, owner in zip(starts.tolist(), ends.tolist(), owners.tolist()):
         key = (patients[owner][0], int(episode[lo]))

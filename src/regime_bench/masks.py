@@ -230,9 +230,12 @@ def read_masks_json(path):
 
     A malformed or duplicated record raises ParseError naming the file and
     the record's position in the ``masks`` list; so does a ``provenance`` or
-    ``condition`` label that is not a string, naming the field.
+    ``condition`` label that is not a string, naming the field, and a
+    ``provenance`` outside PROVENANCES.
     """
     meta, records = formats.read_records(path, "masks", _mask_record, ("provenance", "condition"))
+    if meta.get("provenance", "empirical") not in PROVENANCES:
+        raise ParseError(f"{path}: unknown provenance {meta['provenance']!r}")
     masks = {}
     for i, (key, mask) in enumerate(records):
         if key in masks:

@@ -9,6 +9,7 @@ Gaussian + uniform floor) for sustained gaps of 10-240 minutes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -274,14 +275,32 @@ def _regime_to_dict(rm: RegimeModel) -> dict:
     return {"pi_short": rm.pi_short, **asdict(rm.mixture)}
 
 
-def _regime_from_dict(d: dict) -> RegimeModel:
+# what the duration sampler needs: it divides by k and sigma and picks a component by weight
+_REGIME_RULES = {
+    "pi_short": ("lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "k": ("be positive", lambda v: v > 0.0),
+    "sigma": ("be positive", lambda v: v > 0.0),
+    **dict.fromkeys(("w_exp", "w_gauss", "w_unif"), ("be non-negative", lambda v: v >= 0.0)),
+}
+
+
+def _number(value, field: str) -> float:
+    """A finite JSON number as a float; anything else, a bool included, raises EstimationError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise EstimationError(f"{field} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _regime_from_dict(d: dict, regime: str) -> RegimeModel:
     missing = [f for f in _REGIME_FIELDS if f not in d]
     if missing:
         raise EstimationError(f"regime record is missing fields: {missing}")
-    return RegimeModel(
-        pi_short=float(d["pi_short"]),
-        mixture=DurationMixture(**{name: float(d[name]) for name in _MIXTURE_FIELDS}),
-    )
+    values = {name: _number(d[name], f"{regime}.{name}") for name in _REGIME_FIELDS}
+    for name, (rule, ok) in _REGIME_RULES.items():
+        if not ok(values[name]):
+            raise EstimationError(f"{regime}.{name} must {rule}, got {d[name]!r}")
+    return RegimeModel(values.pop("pi_short"), DurationMixture(**values))
 
 
 def model_to_dict(model: MissingnessModel) -> dict:
@@ -295,7 +314,12 @@ def model_to_dict(model: MissingnessModel) -> dict:
 
 
 def model_from_dict(data: dict) -> MissingnessModel:
-    """Build a model from its JSON fields; the envelope is checked by ``load_model``."""
+    """Build a model from its JSON fields; the envelope is checked by ``load_model``.
+
+    Every field is a finite number, never a bool; ``pi_short`` lies in
+    [0, 1], ``k`` and ``sigma`` are positive and the weights non-negative.
+    Each failure raises EstimationError naming the field, e.g. ``day.k``.
+    """
     missing = [f for f in _MODEL_FIELDS if f not in data]
     if missing:
         raise EstimationError(f"model is missing fields: {missing}")
@@ -303,9 +327,9 @@ def model_from_dict(data: dict) -> MissingnessModel:
         # sample_duration caps every gap at DELTA_MAX; another cap would be ignored
         raise EstimationError(f"delta_max must be {DELTA_MAX}, got {data['delta_max']!r}")
     return MissingnessModel(
-        onset_prob=tuple(float(p) for p in data["onset_prob"]),
-        day=_regime_from_dict(data["day"]),
-        night=_regime_from_dict(data["night"]),
+        onset_prob=tuple(_number(p, f"onset_prob[{i}]") for i, p in enumerate(data["onset_prob"])),
+        day=_regime_from_dict(data["day"], "day"),
+        night=_regime_from_dict(data["night"], "night"),
     )
 
 

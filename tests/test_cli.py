@@ -115,6 +115,29 @@ class TestMaskCommand:
         doc = json.loads(out.read_text())
         assert all(rec["gaps"] == [] for rec in doc["masks"])
 
+    @pytest.mark.parametrize("record, field, value, message", [
+        ("day", "k", 0, "day.k must be positive, got 0"),
+        ("night", "sigma", 0.0, "night.sigma must be positive, got 0.0"),
+        ("day", "pi_short", "0.3", "day.pi_short must be a finite number, got '0.3'"),
+        ("night", "pi_short", 7.0, "night.pi_short must lie in [0, 1], got 7.0"),
+        ("onset_prob", 0, True, "onset_prob[0] must be a finite number, got True"),
+        ("day", "w_exp", -3.0, "day.w_exp must be non-negative, got -3.0"),
+        ("night", "mu", None, "night.mu must be a finite number, got None"),
+    ], ids=["k zero", "sigma zero", "pi_short text", "pi_short 7", "onset bool", "weight negative",
+            "mu null"])
+    def test_bad_model_field_names_the_file_and_the_field(self, protocol_fixture, tmp_path, capsys,
+                                                          record, field, value, message):
+        bad = tmp_path / "model.json"
+        missingness.save_model(build_injected_model(), bad)
+        doc = json.loads(bad.read_text())
+        doc[record][field] = value
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "masks.json"
+        assert run("mask", "--input", protocol_fixture / "cgm.csv", "--model", bad,
+                   "--seed", 1, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def protocol_fixture(tmp_path_factory):
@@ -836,6 +859,18 @@ class TestMetadataLabels:
                    "--masks", files["masks"], "--windows", files["windows"],
                    "--out", tmp_path / "eval") == 1
         assert capsys.readouterr().err == f"error: {bad}: {field!r} must be a string\n"
+        assert not (tmp_path / "eval" / "report.json").exists()
+
+
+    def test_unknown_provenance_names_the_file(self, pipeline, tmp_path, capsys):
+        doc = json.loads(pipeline["masks"].read_text())
+        doc["provenance"] = "protocol_Z"
+        bad = tmp_path / "masks.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("evaluate", "--input", pipeline["cgm"], "--imputed", pipeline["imputed"]["lerp"],
+                   "--masks", bad, "--out", tmp_path / "eval") == 1
+        assert capsys.readouterr().err == f"error: {bad}: unknown provenance 'protocol_Z'\n"
         assert not (tmp_path / "eval" / "report.json").exists()
 
 

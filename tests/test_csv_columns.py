@@ -42,6 +42,12 @@ def row_path():
         yield
 
 
+def external_columns(path, pairs):
+    """What load_external's column path alone makes of the file."""
+    lengths = {(ep.patient_id, ep.episode_id): ep.T for ep, _ in pairs}
+    return imputers._load_external_columns(path, pairs, lengths)
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -67,13 +73,16 @@ def same_imputations(a, b):
 
 # line traps: each makes a file that the column reader must decline or read exactly
 LINE_TRAPS = ["blank", "spaces", "extra_field", "missing_field", "comma_to_next", "swap",
-              "lone_cr", "mixed_end", "nul", "repeat", "copy_to_start", "move_to_end", "drop"]
+              "lone_cr", "mixed_end", "nul", "repeat", "copy_to_start", "move_to_end", "drop",
+              "lone_cr_at_end", "header_only"]
 # text that str.strip changes, which the row reader strips from some fields
 PADDED = [" pA", "pA\t", "\x0bpA", "pA\x0c", "\x1cpA", "pA\x1f", "\x1dpA", "pA\x1e"]
 
 
 def build(header, lines, trap, at, crlf, final_newline):
     """The file's bytes: lines (lists of fields) with the trap applied at line `at`."""
+    if trap == "header_only":
+        return (header + ("\r\n" if crlf else "\n")).encode("utf-8")
     lines = [list(fields) for fields in lines]
     i = at % len(lines)
     ends = ["\r\n" if crlf else "\n"] * len(lines)
@@ -91,6 +100,8 @@ def build(header, lines, trap, at, crlf, final_newline):
         lines[i - 1], lines[i] = lines[i], lines[i - 1]
     elif trap == "lone_cr":
         ends[i] = "\r"
+    elif trap == "lone_cr_at_end":
+        ends[-1], final_newline = "\r", True
     elif trap == "mixed_end":
         ends[i] = "\n" if crlf else "\r\n"
     elif trap == "nul":
@@ -116,17 +127,23 @@ def build(header, lines, trap, at, crlf, final_newline):
     return (header + ("\r\n" if crlf else "\n") + body).encode("utf-8")
 
 
+# integers at the edges of exact float64 and of int64
+BIG_INTS = ["9007199254740992", "9007199254740993", "-9223372036854775808", "9223372036854775808"]
+
 CGM_TRAPS = [None, *LINE_TRAPS] + [
     (0, text) for text in ["", "pé", '"pA"', "p\x0bA", *PADDED]
 ] + [
     (1, text) for text in ["10.0", "1e3", "+5", "1_000", "1970-01-02T00:05:00", "-", "",
-                           "1234567890123456", "12345678901234567890", "-15", " 5", "5\x0c"]
+                           "1234567890123456", "12345678901234567890", "-15", " 5", "5\x0c",
+                           *BIG_INTS, "infinity", "-nan", "+inf", "0x10"]
 ] + [
     (2, text) for text in ["nan", "NaN", "inf", "-inf", "1e400", "19.99", "500.5", "1_00",
-                           " 100.0", '"100.0"', "1e2", "100.", "+1e2", "2e-5", "1e", "--1"]
+                           " 100.0", '"100.0"', "1e2", "100.", "+1e2", "2e-5", "1e", "--1",
+                           "infinity", "-nan", "+inf", "0x10", *BIG_INTS]
 ] + [
     (column, text) for column in (3, 4, 5)
-    for text in ["nan", "inf", "-1.0", "1e400", "-0.0", "", "1_0", "0.5 ", "\x1c1", "5e-324"]
+    for text in ["nan", "inf", "-1.0", "1e400", "-0.0", "", "1_0", "0.5 ", "\x1c1", "5e-324",
+                 "infinity", "-nan", "+inf", "0x10", "9007199254740993"]
 ]
 
 
@@ -181,12 +198,14 @@ def external_cases(draw):
 EXTERNAL_TRAPS = [None, *LINE_TRAPS, "unknown_episode", "unknown_repeat", "unscored_episode"] + [
     (0, text) for text in ["pé", '"pA"', "pC", *PADDED]
 ] + [
-    (1, text) for text in ["+0", " 0", "00", "0.0", "-0", "7"]
+    (1, text) for text in ["+0", " 0", "00", "0.0", "-0", "7", *BIG_INTS, "infinity", "-nan",
+                           "+inf", "0x10"]
 ] + [
-    (2, text) for text in ["10.0", "1e3", "+5", "1_000", "-1", "999", "0", "1", " 1", ""]
+    (2, text) for text in ["10.0", "1e3", "+5", "1_000", "-1", "999", "0", "1", " 1", "",
+                           *BIG_INTS, "infinity", "-nan", "+inf", "0x10"]
 ] + [
     (3, text) for text in ["nan", "inf", "1e400", "1_0", " 100.0", '"100.0"', "", "100.0000001",
-                           "1e", "250"]
+                           "1e", "250", "infinity", "-nan", "+inf", "0x10", *BIG_INTS]
 ] + [
     (4, text) for text in ["other", "", "le,rp", *(t.replace("pA", "lerp") for t in PADDED)]
 ]
@@ -219,7 +238,7 @@ class TestExternalColumnsAgainstRows:
             rows_read = outcome(imputers.load_external, path, pairs)
         assert same_imputations(columns, rows_read)
         if trap is None:
-            assert imputers._load_external_columns(path, pairs) is not None
+            assert external_columns(path, pairs) is not None
 
 
 class TestOwnFilesTakeTheColumnPath:
@@ -259,10 +278,21 @@ class TestOwnFilesTakeTheColumnPath:
             expected = core.ingest_csv(paths[name], 240)
         assert same_episodes(core.ingest_csv(paths[name], 240), expected)
 
+    def test_signed_and_underscored_timestamps_with_mixed_line_ends(self, tmp_path):
+        path = tmp_path / "cgm.csv"
+        path.write_bytes(f"{CGM_LINE}\r\npA,+5,100.0,0.0,0.0,1.0\npA,1_000,110.0,12.0,0.0,1.0\r\n"
+                         "pA,1_005,,0.0,0.5,1.0\npA,1_010,120.0,0.0,0.0,0.0".encode())
+        rows = core._read_columns(path)
+        assert rows is not None and rows["pA"][:, 0].tolist() == [5, 1000, 1005, 1010]
+        with row_path():
+            expected = core.ingest_csv(path, 240)
+        assert [ep.start_minute for ep in expected] == [5, 1000]
+        assert same_episodes(core.ingest_csv(path, 240), expected)
+
     @pytest.mark.parametrize("name", ["imputed", "imputed_lf"])
     def test_imputation_files(self, files, name):
         paths, pairs = files
-        loaded = imputers._load_external_columns(paths[name], pairs)
+        loaded = external_columns(paths[name], pairs)
         assert loaded is not None and len(loaded) == len(pairs)
         with row_path():
             assert same_imputations(loaded, imputers.load_external(paths[name], pairs))
@@ -289,7 +319,23 @@ class TestColumnPathRaisesTheSharedChecks:
         with row_path():
             expected = outcome(imputers.load_external, path, [(ep, mask)])
         assert isinstance(expected, tuple), expected  # the row path raises
-        assert outcome(imputers._load_external_columns, path, [(ep, mask)]) == expected
+        assert outcome(external_columns, path, [(ep, mask)]) == expected
+
+
+class TestIntegersBeyondExactFloat:
+    """float64 rounds 2**53 + 1 to 2**53, so only the row path can tell the two ids apart."""
+
+    def test_a_rounded_episode_id_matches_no_episode(self, tmp_path):
+        ep = make_episode([100.0, 110.0], episode_id=2**53)
+        pairs = [(ep, Mask(np.array([1, 0], dtype=np.uint8)))]
+        path = tmp_path / "imputed.csv"
+        imputers.write_imputations_csv(
+            [Imputation(np.array([100.0, 105.0]), "lerp", ("p1", 2**53 + 1))], path)
+        assert external_columns(path, pairs) is None
+        with row_path():
+            expected = outcome(imputers.load_external, path, pairs)
+        assert expected == ("CoverageError", f"{path}: no rows for episode p1/{2**53}")
+        assert outcome(imputers.load_external, path, pairs) == expected
 
 
 _TEXT = st.text(alphabet=st.sampled_from(list('ab-_ ,"\n\ré')), min_size=1, max_size=5)
