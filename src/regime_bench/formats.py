@@ -17,19 +17,30 @@ passed through ``quote``, byte for byte as the ``csv`` module writes it. The
 large CSV files also have a column path: ``read_columns`` reads a file in
 canonical form block by block into arrays and declines anything else, ids
 that need quoting included. The caller's row reader reads what it declines,
-so every error that names a line comes from ``read_csv``.
+so every error that names a line comes from ``read_csv``. Each file is
+parsed once per content: ``read_columns`` keeps its results in a cache
+directory keyed by a hash of the file's bytes and of this module's code, and
+serves a repeat read from there with the same arrays.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+import sys
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParseError, RegimeBenchError
+
+try:
+    from _blake2 import blake2b  # hashlib would also map OpenSSL: megabytes of RSS
+except ImportError:  # an interpreter built without the module
+    from hashlib import blake2b
 
 SCHEMA_VERSION = 1
 
@@ -43,9 +54,11 @@ def write_json(path, doc: dict) -> None:
 def read_json(path, error=ParseError) -> dict:
     """Read a versioned JSON document.
 
-    Invalid JSON (``NaN``, ``Infinity`` and ``-Infinity`` included), a
-    document that is not an object and an unsupported ``schema_version`` all
-    raise ``error`` with the path in its message.
+    Invalid JSON (``NaN``, ``Infinity`` and ``-Infinity`` included, and so
+    are bytes that are not UTF-8, an integer over Python's digit limit and
+    nesting past the recursion limit), a document that is not an object and
+    an unsupported ``schema_version`` all raise ``error`` with the path in
+    its message.
     """
 
     def reject_constant(name):
@@ -53,7 +66,7 @@ def read_json(path, error=ParseError) -> dict:
 
     try:
         doc = json.loads(Path(path).read_text(), parse_constant=reject_constant)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers the decode errors
         raise error(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
@@ -161,6 +174,7 @@ def write_lines(path, header: list[str], chunks) -> None:
 
 BLOCK_BYTES = 1 << 17  # larger blocks read no faster and leave the allocator more to keep
 MAX_FIELD_BYTES = 64  # bounds the (lines, width) cells gathered for each field of a block
+CACHE_BYTES = 256 << 20  # read_columns' cache directory holds at most this much
 
 # bytes a canonical file never holds: non-ASCII, NUL, '"', and what str.strip removes
 # apart from the line ends, which the block parser checks itself
@@ -176,7 +190,8 @@ def read_columns(path, header: list[str], kinds: str):
     integer and float columns fill one float64 table, in column order, with
     NaN for an empty float field; each text column comes back as a list of
     ``(value, first_row)`` runs of equal consecutive values. So the result
-    is ``(table, [runs, ...])``.
+    is ``(table, [runs, ...])``. The table is the caller's own: writable,
+    and shared with no other call.
 
     Canonical form: the exact header; lines ending in ``\\n`` or ``\\r\\n``,
     the last one optionally unterminated; at least one data line and no
@@ -186,15 +201,29 @@ def read_columns(path, header: list[str], kinds: str):
     which calls the int() and float() of the row readers; a float field
     that reads as NaN and an integer beyond 2**53 are not canonical, since
     the table could not tell them from an empty field or hold them exactly.
-    A file in that form reads to the same values through csv.reader. The
-    file is read twice, once to count lines and once in blocks of 128 KiB
+    A file in that form reads to the same values through csv.reader.
+
+    The file is read once to count lines and hash its bytes. A result
+    cached under that hash is returned as it was stored (see
+    ``_cache_dir``); otherwise the file is read again in blocks of 128 KiB
     parsed into the preallocated table, so memory stays at the table plus
-    one block's temporaries.
+    one block's temporaries, and a canonical file's result is cached.
     """
     head = ",".join(header).encode()
     try:
         with Path(path).open("rb") as fh:
-            lines = sum(block.count(b"\n") for block in iter(lambda: fh.read(BLOCK_BYTES), b""))
+            # an entry holds for this module's code, numpy's version and byte order, the
+            # header, the kinds and the file's bytes
+            key = blake2b(repr((np.__version__, sys.byteorder, header, kinds)).encode(),
+                          key=blake2b(Path(__file__).read_bytes()).digest(), digest_size=20)
+            lines = 0
+            for block in iter(lambda: fh.read(BLOCK_BYTES), b""):
+                lines += block.count(b"\n")
+                key.update(block)
+            cache = _cache_dir()
+            entry = cache / key.hexdigest() if cache else None
+            if entry and (read := _load_entry(entry, kinds)):
+                return read
             fh.seek(0)
             if fh.readline(len(head) + 2) not in (head + b"\n", head + b"\r\n"):
                 return None
@@ -223,7 +252,70 @@ def read_columns(path, header: list[str], kinds: str):
         return None
     if not filled:
         return None
+    if entry:
+        _store_entry(entry, table[:filled], runs)
     return table[:filled], runs
+
+
+def _cache_dir() -> Path | None:
+    """Where read_columns keeps its results: ``$XDG_CACHE_HOME/regime-bench``, or
+    ``~/.cache/regime-bench`` when that is unset or relative; None when neither is absolute.
+
+    One entry per key, the least recently used evicted first once the
+    entries pass CACHE_BYTES. Removing the directory only costs the next
+    reads a parse.
+    """
+    for base in (os.environ.get("XDG_CACHE_HOME", ""), os.path.expanduser("~/.cache")):
+        if os.path.isabs(base):
+            return Path(base, "regime-bench")
+    return None
+
+
+def _load_entry(entry: Path, kinds: str):
+    """The (table, runs) stored under entry; None when it is missing, short, malformed or
+    stored under another key. A hit marks the entry as used now."""
+    try:
+        with entry.open("rb") as fh:
+            meta = json.loads(fh.readline())
+            rows, width = meta["shape"]
+            runs = [[(text, row) for text, row in column] for column in meta["runs"]]
+            if (meta["key"] != entry.name or width != len(kinds) - kinds.count("t")
+                    or len(runs) != kinds.count("t")
+                    or fh.tell() + 8 * rows * width != os.fstat(fh.fileno()).st_size):
+                return None
+            table = np.fromfile(fh, count=rows * width).reshape(rows, width)
+        os.utime(entry)
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return table, runs
+
+
+def _store_entry(entry: Path, table: np.ndarray, runs: list) -> None:
+    """Store a result as one JSON line (key, shape, runs) and the raw table, then evict.
+
+    The entry is written under a temporary name and renamed into place, so
+    a reader sees a whole entry or none. An OSError ends the store there and
+    removes the temporary file; the result is returned all the same.
+    """
+    tmp = entry.with_name(f".{entry.name}.{os.getpid()}")
+    try:
+        entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        with tmp.open("wb") as fh:
+            fh.write(json.dumps({"key": entry.name, "shape": table.shape, "runs": runs})
+                     .encode() + b"\n")
+            table.tofile(fh)
+        os.replace(tmp, entry)
+        with os.scandir(entry.parent) as it:
+            files = sorted((e.stat().st_mtime, e.stat().st_size, e.path) for e in it)
+        total = sum(size for _, size, _ in files)
+        for _, size, name in files:  # least recently used first
+            if total <= CACHE_BYTES:
+                break
+            os.remove(name)
+            total -= size
+    except OSError:
+        with suppress(OSError):  # no temporary file, or no directory to hold one
+            tmp.unlink()
 
 
 def _parse_block(buf: bytes, kinds: str, first_row: int):

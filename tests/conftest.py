@@ -34,6 +34,14 @@ def gapped_days(model, n_days, master_seed=2024, noise_std=2.0, synth_seed=11):
     return truth, gapped
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_read_cache(tmp_path_factory):
+    """Point read_columns' cache at a temporary directory, for this process and its children."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def injected_model():
     return build_injected_model()

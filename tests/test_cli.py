@@ -569,6 +569,24 @@ class TestFileEnvelope:
             f"error: {bad}: invalid JSON: non-finite number {constant}\n"
         )
 
+    @pytest.mark.parametrize("shape", ["5000-digit condition", "nested 100000 deep"])
+    def test_json_the_decoder_cannot_hold_names_the_file(self, pipeline, tmp_path, capsys, shape):
+        bad = tmp_path / "masks.json"
+        if shape.startswith("5000"):
+            doc = json.loads(pipeline["masks"].read_text())
+            doc["condition"] = 0
+            text = json.dumps(doc).replace('"condition": 0', '"condition": ' + "7" * 5000)
+        else:
+            text = '{"schema_version": 1, "masks": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        bad.write_text(text)
+        with pytest.raises((ValueError, RecursionError)) as raised:
+            json.loads(text)
+        capsys.readouterr()
+        assert run("impute", "--input", pipeline["cgm"], "--masks", bad, "--method", "lerp",
+                   "--out", tmp_path / "lerp.csv") == 1
+        assert capsys.readouterr().err == f"error: {bad}: invalid JSON: {raised.value}\n"
+        assert not (tmp_path / "lerp.csv").exists()
+
 
 class TestGappedTruthScoring:
     """Masks over gapped truth: a never-observed index is imputed but never scored."""
@@ -691,6 +709,9 @@ LOADED_ONLY_BY = {
     "regime_bench.metrics": {"evaluate", "calibrate", "report"},
     "regime_bench.imputers": {"impute", "evaluate", "calibrate", "route"},
     "scipy": {"fit"},
+    # OpenSSL's hashes, megabytes of RSS: seed derivation and scipy load them, and the
+    # read cache's BLAKE2b must not
+    "_hashlib": {"synth", "fit", "mask", "stress"},
 }
 
 

@@ -7,9 +7,13 @@ imputations or error text, and they pin the writers to csv.writer byte for
 byte.
 """
 
+import json
 import math
+import os
+import shutil
 import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -437,8 +441,12 @@ class TestWritersMatchCsvWriter:
 
 
 class TestColumnReaderMemory:
-    def test_peak_within_two_mib_of_the_row_reader(self, tmp_path):
-        """A reader that holds the whole file at once shows here as megabytes over the rows."""
+    def test_peak_within_two_mib_of_the_row_reader(self, tmp_path, monkeypatch):
+        """A reader that holds the whole file at once shows here as megabytes over the rows.
+
+        The first read parses and stores the cache entry; the second is served from it.
+        """
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
         path = tmp_path / "cgm.csv"
         core.export_csv(synth.generate(synth.SynthConfig(days=200, noise_std=2.0, seed=3)).episodes,
                         path)
@@ -451,9 +459,204 @@ class TestColumnReaderMemory:
             finally:
                 tracemalloc.stop()
 
-        assert core._read_columns(path) is not None
-        columns, episodes = peak()
+        assert entries() == []
+        miss, episodes = peak()
+        assert len(entries()) == 1
+        hit, again = peak()
         with row_path():
             rows_peak, expected = peak()
-        assert same_episodes(episodes, expected)
-        assert columns <= rows_peak + 2 * 2**20, (columns, rows_peak)
+        assert same_episodes(episodes, expected) and same_episodes(again, expected)
+        assert miss <= rows_peak + 2 * 2**20, (miss, rows_peak)
+        assert hit <= rows_peak + 2 * 2**20, (hit, rows_peak)
+
+
+@contextmanager
+def counted_blocks():
+    """Count the blocks the column reader parses (the mock keeps each block alive)."""
+    with mock.patch.object(formats, "_parse_block", wraps=formats._parse_block) as blocks:
+        yield blocks
+
+
+def entries():
+    """The cache entries, by name."""
+    cache = formats._cache_dir()
+    return sorted(p.name for p in cache.iterdir()) if cache.is_dir() else []
+
+
+@pytest.fixture
+def own_cache(tmp_path, monkeypatch):
+    """An empty cache for one test."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path / "xdg" / "regime-bench"
+
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    """A gapped CGM file, with NaN glucose, and an imputation file for its masks."""
+    root = tmp_path_factory.mktemp("cached")
+    pairs, gapped = [], []
+    for ep in synth.generate(synth.SynthConfig(days=2, noise_std=2.0, seed=5)).episodes:
+        bits = np.ones(ep.T, dtype=np.uint8)
+        bits[30:50] = 0  # 100 minutes, so the gapped file still holds one episode per day
+        pairs.append((ep, Mask(bits)))
+        gapped.append(masks.apply_mask(ep, Mask(bits)))
+    core.export_csv(gapped, root / "cgm.csv")
+    imputers.write_imputations_csv([imputers.impute_lerp(ep, m) for ep, m in pairs],
+                                   root / "lerp.csv")
+    return {"cgm": (root / "cgm.csv", core.CGM_HEADER, "tiffff"),
+            "lerp": (root / "lerp.csv", imputers.EXTERNAL_HEADER, "tiift"), "pairs": pairs}
+
+
+def same_read(a, b):
+    """Bit for bit: the table's bytes, NaN positions included, its dtype and shape, and the runs."""
+    return (a[0].dtype == b[0].dtype and a[0].shape == b[0].shape
+            and a[0].tobytes() == b[0].tobytes() and a[1] == b[1])
+
+
+class TestParsedOncePerContent:
+    """read_columns serves a repeat read of the same bytes from its cache, with the same result."""
+
+    @pytest.mark.parametrize("name", ["cgm", "lerp"])
+    def test_hit_equals_miss_and_parses_nothing(self, own_cache, small_files, name):
+        path, header, kinds = small_files[name]
+        with counted_blocks() as blocks:
+            miss = formats.read_columns(path, header, kinds)
+            parsed = blocks.call_count
+            hit = formats.read_columns(path, header, kinds)
+        assert parsed > 0 and blocks.call_count == parsed  # the hit parsed no block
+        assert len(entries()) == 1
+        assert same_read(hit, miss)
+        assert np.isnan(miss[0]).any() == (name == "cgm")  # the gapped file's empty glucose
+        assert hit[0].flags.writeable
+        # end to end, a hit reads what the row reader reads
+        pairs = small_files["pairs"]
+        if name == "cgm":
+            read, same = (lambda: core.ingest_csv(path, 240)), same_episodes
+        else:
+            read, same = (lambda: imputers.load_external(path, pairs)), same_imputations
+        with row_path():
+            expected = read()
+        assert same(read(), expected)
+
+    def test_the_table_is_the_callers_own(self, own_cache, small_files):
+        """core edits the table in place, and the edit must not reach the next read."""
+        path, header, kinds = small_files["cgm"]
+        first = formats.read_columns(path, header, kinds)
+        expected = first[0].copy()
+        first[0][:] = 0.0
+        assert same_read(formats.read_columns(path, header, kinds), (expected, first[1]))
+
+    def test_one_changed_byte_misses(self, own_cache, small_files, tmp_path):
+        path, header, kinds = small_files["cgm"]
+        changed = tmp_path / "cgm.csv"
+        data = path.read_bytes()
+        changed.write_bytes(data.replace(b",1.0\r\n", b",2.0\r\n", 1))
+        assert changed.read_bytes() != data
+        formats.read_columns(path, header, kinds)
+        with counted_blocks() as blocks:
+            read = formats.read_columns(changed, header, kinds)
+        assert blocks.call_count > 0 and len(entries()) == 2
+        basal = read[0][:, 4]
+        assert 2.0 in basal and 2.0 not in formats.read_columns(path, header, kinds)[0][:, 4]
+
+    def test_an_entry_of_another_reader_is_never_used(self, own_cache, small_files, tmp_path,
+                                                       monkeypatch):
+        path, header, kinds = small_files["cgm"]
+        formats.read_columns(path, header, kinds)
+        edited = tmp_path / "formats.py"
+        edited.write_bytes(Path(formats.__file__).read_bytes() + b"# another reader\n")
+        monkeypatch.setattr(formats, "__file__", str(edited))
+        with counted_blocks() as blocks:
+            formats.read_columns(path, header, kinds)
+        assert blocks.call_count > 0 and len(entries()) == 2
+
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "garbage", "longer", "other key",
+                                        "bad shape", "runs short"])
+    def test_damaged_entry_is_a_miss_then_replaced(self, own_cache, small_files, damage):
+        path, header, kinds = small_files["cgm"]
+        expected = formats.read_columns(path, header, kinds)
+        (name,) = entries()
+        entry = own_cache / name
+        good = entry.read_bytes()
+        meta, table = good.split(b"\n", 1)
+        doc = json.loads(meta)
+        if damage == "other key":
+            doc["key"] = "0" * len(name)
+        elif damage == "bad shape":
+            doc["shape"] = [doc["shape"][0] * 5, 1]  # as many cells, other columns
+        elif damage == "runs short":
+            doc["runs"] = []
+        bad = {"empty": b"", "truncated": good[:-8], "garbage": b"\xff\x00 not an entry\n" + table,
+               "longer": good + b"\0" * 8}.get(damage, json.dumps(doc).encode() + b"\n" + table)
+        entry.write_bytes(bad)
+        with counted_blocks() as blocks:
+            read = formats.read_columns(path, header, kinds)
+        assert blocks.call_count > 0
+        assert same_read(read, expected)
+        assert entry.read_bytes() == good and entries() == [name]
+
+    def test_cache_path_that_is_a_file_only_costs_the_parse(self, own_cache, small_files,
+                                                             tmp_path, capsys):
+        path, header, kinds = small_files["cgm"]
+        expected = formats.read_columns(path, header, kinds)
+        shutil.rmtree(own_cache)
+        own_cache.write_bytes(b"not a directory")
+        assert same_read(formats.read_columns(path, header, kinds), expected)
+        masks.write_masks_json([(ep.patient_id, ep.episode_id, m)
+                                for ep, m in small_files["pairs"]], tmp_path / "masks.json")
+        assert cli.main(["impute", "--input", str(path), "--masks", str(tmp_path / "masks.json"),
+                         "--method", "lerp", "--out", str(tmp_path / "lerp.csv")]) == 0, \
+            capsys.readouterr().err
+        assert (tmp_path / "lerp.csv").read_bytes() == small_files["lerp"][0].read_bytes()
+        assert own_cache.read_bytes() == b"not a directory"
+
+    def test_declined_file_stores_nothing_and_keeps_its_error(self, own_cache, small_files,
+                                                              tmp_path):
+        path, header, kinds = small_files["cgm"]
+        bad = tmp_path / "cgm.csv"
+        bad.write_bytes(path.read_bytes().replace(b",1.0\r\n", b",x\r\n", 1))
+        with row_path():
+            expected = outcome(core.ingest_csv, bad, 240)
+        assert expected == ("ParseError", f"{bad}: line 2: bad basal value 'x'")
+        assert formats.read_columns(bad, header, kinds) is None
+        for _ in range(2):
+            assert outcome(core.ingest_csv, bad, 240) == expected
+        assert entries() == []
+
+    def test_failed_check_after_a_hit_keeps_its_error(self, own_cache, small_files, tmp_path):
+        """A canonical file that core rejects is cached, and rejected the same on each read."""
+        path, header, kinds = small_files["cgm"]
+        bad = tmp_path / "cgm.csv"
+        bad.write_bytes(path.read_bytes().replace(b",1.0\r\n", b",-1.0\r\n", 1))
+        with row_path():
+            expected = outcome(core.ingest_csv, bad, 240)
+        assert expected == ("ParseError", f"{bad}: line 2: negative exogenous value")
+        for _ in range(2):
+            assert outcome(core.ingest_csv, bad, 240) == expected
+        assert len(entries()) == 1
+
+    def test_eviction_keeps_the_directory_under_the_cap(self, own_cache, small_files, tmp_path,
+                                                        monkeypatch):
+        path, header, kinds = small_files["cgm"]
+        files = []
+        for i in range(4):  # four contents, one entry each, all of one size
+            files.append(tmp_path / f"cgm{i}.csv")
+            files[-1].write_bytes(path.read_bytes().replace(b",1.0\r\n", b",%d.0\r\n" % (i + 2), 1))
+
+        def read(i):
+            before = set(entries())
+            formats.read_columns(files[i], header, kinds)
+            total = sum(p.stat().st_size for p in own_cache.iterdir())
+            assert total <= formats.CACHE_BYTES
+            return (set(entries()) - before).pop() if set(entries()) - before else None
+
+        a = read(0)
+        monkeypatch.setattr(formats, "CACHE_BYTES", 5 * (own_cache / a).stat().st_size // 2)
+        os.utime(own_cache / a, (1, 1))
+        b = read(1)
+        os.utime(own_cache / b, (2, 2))
+        assert read(0) is None and (own_cache / a).stat().st_mtime > 2  # a hit marks a as used
+        c = read(2)
+        assert entries() == sorted([a, c])  # b, used least recently, went first
+        d = read(3)
+        assert entries() == sorted([c, d])
