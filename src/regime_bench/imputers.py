@@ -29,50 +29,40 @@ class Imputation:
         object.__setattr__(self, "values", values)
 
 
-def _retained(episode: Episode, mask: Mask) -> np.ndarray:
-    """The split's retained indices; a builtin imputer needs at least one."""
-    retained, _ = split_mask(mask.bits, episode.observed)
-    if not retained.any():
+def _fill(episode: Episode, mask: Mask, method: str, fill) -> Imputation:
+    """Truth at the retained indices, ``fill(hidden, retained, values)`` at the hidden ones.
+
+    hidden and retained are index arrays in increasing order and values the
+    truth at retained, in the argument order of np.interp; a builtin imputer
+    needs at least one retained index.
+    """
+    bits, _ = split_mask(mask.bits, episode.observed)
+    retained, hidden = np.flatnonzero(bits), np.flatnonzero(~bits)
+    if not retained.size:
         raise EmptyEpisodeError("imputer needs at least one retained observation")
-    return retained
-
-
-def _constant_fill(episode: Episode, mask: Mask, reducer, method: str) -> Imputation:
-    bits = _retained(episode, mask)
-    values = np.where(bits, episode.glucose, reducer(episode.glucose[bits]))
+    values = episode.glucose.copy()
+    values[hidden] = fill(hidden, retained, episode.glucose[retained])
     return Imputation(values, method, (episode.patient_id, episode.episode_id))
 
 
 def impute_mean(episode: Episode, mask: Mask) -> Imputation:
-    return _constant_fill(episode, mask, np.mean, "mean")
+    return _fill(episode, mask, "mean", lambda hidden, retained, values: np.mean(values))
 
 
 def impute_median(episode: Episode, mask: Mask) -> Imputation:
-    return _constant_fill(episode, mask, np.median, "median")
+    return _fill(episode, mask, "median", lambda hidden, retained, values: np.median(values))
 
 
 def impute_locf(episode: Episode, mask: Mask) -> Imputation:
     """Last retained observation carried forward; a leading gap takes the next one."""
-    bits = _retained(episode, mask)
-    retained = np.flatnonzero(bits)
-    pos = np.searchsorted(retained, np.arange(episode.T), side="right") - 1
-    source = retained[np.clip(pos, 0, retained.size - 1)]
-    values = episode.glucose[source].copy()
-    values[bits] = episode.glucose[bits]
-    return Imputation(values, "locf", (episode.patient_id, episode.episode_id))
+    return _fill(episode, mask, "locf", lambda hidden, retained, values: values[
+        np.maximum(np.searchsorted(retained, hidden, side="right") - 1, 0)])
 
 
 def impute_lerp(episode: Episode, mask: Mask) -> Imputation:
     """Linear interpolation between bracketing retained observations."""
-    bits = _retained(episode, mask)
-    retained = np.flatnonzero(bits)
-    values = episode.glucose.copy()
-    hidden = np.flatnonzero(~bits)
-    if hidden.size:
-        # np.interp clamps to the nearest retained value at the boundaries
-        values[hidden] = np.interp(hidden, retained, episode.glucose[retained])
-    values[bits] = episode.glucose[bits]
-    return Imputation(values, "lerp", (episode.patient_id, episode.episode_id))
+    # np.interp clamps to the nearest retained value at the boundaries
+    return _fill(episode, mask, "lerp", np.interp)
 
 
 BUILTIN_IMPUTERS = {

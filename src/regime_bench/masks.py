@@ -230,14 +230,19 @@ def read_masks_json(path):
 
     A malformed or duplicated record raises ParseError naming the file and
     the record's position in the ``masks`` list; so does a ``provenance`` or
-    ``condition`` label that is not a string, naming the field, and a
-    ``provenance`` outside PROVENANCES.
+    ``condition`` label that is not a string, naming the field, a
+    ``provenance`` outside PROVENANCES, and a record whose ``provenance``
+    differs from the document's (each defaults to ``empirical``).
     """
     meta, records = formats.read_records(path, "masks", _mask_record, ("provenance", "condition"))
-    if meta.get("provenance", "empirical") not in PROVENANCES:
-        raise ParseError(f"{path}: unknown provenance {meta['provenance']!r}")
+    provenance = meta.get("provenance", "empirical")
+    if provenance not in PROVENANCES:
+        raise ParseError(f"{path}: unknown provenance {provenance!r}")
     masks = {}
     for i, (key, mask) in enumerate(records):
+        if mask.provenance != provenance:
+            raise ParseError(f"{path}: masks[{i}]: provenance {mask.provenance!r} does not "
+                             f"match the document's {provenance!r}")
         if key in masks:
             raise ParseError(f"{path}: masks[{i}]: duplicate record for {key[0]}/{key[1]}")
         masks[key] = mask

@@ -19,7 +19,6 @@ from .masks import Mask, round5
 
 WINDOW_SAMPLES_A = 6  # 30 minutes
 MIN_SAMPLES_B = 42  # 3.5 hours
-MAX_SAMPLES_B = 48  # 4 hours
 POST_MEAL_SCAN = 48  # 4-hour peak scan
 
 
@@ -298,15 +297,24 @@ def write_tcr_csv(rows, path):
 
 
 def read_tcr_csv(path) -> dict[tuple[str, int], list[tuple[int, int]]]:
+    """Load TCR intervals; returns {(patient_id, episode_id): [(start, end), ...]}.
+
+    Each interval must satisfy 0 <= tcr_start_index < tcr_end_index; a row
+    that does not raises ParseError ``<path>: line N: ...``.
+    """
     out: dict[tuple[str, int], list[tuple[int, int]]] = {}
 
     def parse(row):
         try:
             key = (row[0], int(row[1]))
-            interval = (int(row[2]), int(row[3]))
+            start, end = int(row[2]), int(row[3])
         except ValueError as exc:
             raise ParseError("bad TCR interval") from exc
-        out.setdefault(key, []).append(interval)
+        if start < 0:
+            raise ParseError(f"tcr_start_index {start} is negative")
+        if end <= start:
+            raise ParseError(f"tcr_end_index {end} is not after tcr_start_index {start}")
+        out.setdefault(key, []).append((start, end))
 
     formats.read_csv(path, TCR_HEADER, parse)
     return out

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formats
-from .core import Episode, bits_to_runs
+from .core import Episode, bits_to_runs, split_mask
 from .errors import RoutingError
 from .imputers import Imputation, impute_lerp
-from .masks import Mask, apply_mask
+from .masks import Mask
 from .protocols import StabilityCriteria, gradient_of
 
 
@@ -78,8 +78,14 @@ def adaptive_impute(
     criteria: StabilityCriteria = StabilityCriteria(),
     context_minutes: int = 30,
 ) -> tuple[Imputation, list[RoutingDecision]]:
-    """Splice per-gap fills: Lerp for stationary gaps, external for transient ones."""
-    gapped = apply_mask(episode, mask)
+    """Splice per-gap fills: Lerp for stationary gaps, external for transient ones.
+
+    Each gap is classified on the pair's retained samples only, so truth may
+    itself be gapped: an index the truth never observed may be hidden too.
+    """
+    retained, _ = split_mask(mask.bits, episode.observed)
+    gapped = Episode(episode.patient_id, episode.episode_id, episode.start_minute,
+                     np.where(retained, episode.glucose, np.nan), episode.exog, retained)
     runs = bits_to_runs(mask.bits)
     values = episode.glucose.copy()
     lerp_fill = None

@@ -59,7 +59,11 @@ class SynthResult:
     labels: dict[int, np.ndarray]  # episode_id -> per-sample regime codes
 
 
-def _validate(config: SynthConfig):
+def _validate(config: SynthConfig) -> tuple[int | None, int | None]:
+    """Reject an unusable config; return the TCR meal's minute and the dip's centre.
+
+    Each is None where there is none: no meals, or no hypoglycemic dip.
+    """
     if config.days < 1:
         raise ConfigError("days must be >= 1")
     if not 70.0 <= config.baseline <= 140.0:
@@ -75,6 +79,19 @@ def _validate(config: SynthConfig):
         raise ConfigError("tcr_meal must index into meal_times")
     if config.hypo_depth > 0 and not config.meal_times:
         raise ConfigError("hypoglycemic dip needs a meal to anchor the TCR window")
+    meal = config.meal_times[config.tcr_meal] if config.meal_times else None
+    center = meal + TCR_DELAY_MIN + TCR_DURATION_MIN // 2 if config.hypo_depth > 0 else None
+    spans = [
+        (float(mt), float(mt + config.peak_rise + config.peak_fall), "peak")
+        for mt in config.meal_times
+    ]
+    if center is not None:
+        spans.append((float(center - config.hypo_fall), float(center + config.hypo_rise), "hypo"))
+    spans.sort()
+    for (s0, e0, k0), (s1, e1, k1) in zip(spans, spans[1:]):
+        if e0 > s1:
+            raise ConfigError(f"{k0} excursion [{s0}, {e0}] overlaps {k1} at {s1}")
+    return meal, center
 
 
 def _triangle(tt: np.ndarray, start: float, up: float, down: float) -> np.ndarray:
@@ -93,26 +110,9 @@ def _drift(tt: np.ndarray, amplitude: float, period: int) -> np.ndarray:
     return amplitude * tri / period
 
 
-def _excursion_intervals(config: SynthConfig) -> list[tuple[float, float, str]]:
-    spans = [
-        (float(mt), float(mt + config.peak_rise + config.peak_fall), "peak")
-        for mt in config.meal_times
-    ]
-    if config.hypo_depth > 0:
-        meal = config.meal_times[config.tcr_meal]
-        center = meal + TCR_DELAY_MIN + TCR_DURATION_MIN // 2
-        spans.append((float(center - config.hypo_fall), float(center + config.hypo_rise), "hypo"))
-    spans.sort()
-    for (s0, e0, k0), (s1, e1, k1) in zip(spans, spans[1:]):
-        if e0 > s1:
-            raise ConfigError(f"{k0} excursion [{s0}, {e0}] overlaps {k1} at {s1}")
-    return spans
-
-
 def generate(config: SynthConfig) -> SynthResult:
     """Build one Episode per day plus TCR metadata and per-sample regime labels."""
-    _validate(config)
-    spans = _excursion_intervals(config)
+    meal, center = _validate(config)
     rng = np.random.default_rng(config.seed)
     tt = np.arange(SAMPLES_PER_DAY, dtype=float) * 5.0
 
@@ -128,17 +128,14 @@ def generate(config: SynthConfig) -> SynthResult:
         labels[(tt >= mt - 5) & (tt <= mt + config.peak_rise + config.peak_fall + 5)] = LABEL_PEAK
 
     tcr_span = None
-    if config.meal_times:
-        meal = config.meal_times[config.tcr_meal]
+    if meal is not None:
         tcr_start = meal + TCR_DELAY_MIN
         tcr_end = tcr_start + TCR_DURATION_MIN
         if tcr_end <= 1440:
             tcr_span = (tcr_start // 5, tcr_end // 5)
         elif config.hypo_depth > 0:
             raise ConfigError("TCR window for the selected meal does not fit in the day")
-    if config.hypo_depth > 0:
-        meal = config.meal_times[config.tcr_meal]
-        center = meal + TCR_DELAY_MIN + TCR_DURATION_MIN // 2
+    if center is not None:
         # depth chosen so the dip bottoms out at exactly 70 - hypo_depth
         center_level = config.baseline + float(
             _drift(np.array([float(center)]), config.drift_amplitude, config.drift_period)[0]

@@ -195,6 +195,19 @@ class TestStressCommand:
         assert code == 1
         assert "requires --tcr" in capsys.readouterr().err
 
+    def test_protocol_c_leaves_out_episodes_without_onset(self, protocol_fixture, tmp_path):
+        # episode 1's interval is pre-meal and euglycemic, episodes 2-5 have none
+        rows = [("synth-001", 0, 126, 174), ("synth-001", 1, 0, 12)]
+        tcr = tmp_path / "tcr.csv"
+        protocols.write_tcr_csv(rows, tcr)
+        out = tmp_path / "C"
+        assert run("stress", "--input", protocol_fixture / "cgm.csv", "--protocol", "C",
+                   "--tcr", tcr, "--seed", 1, "--out", out) == 0
+        _, mask_map = masks.read_masks_json(out / "masks.json")
+        assert list(mask_map) == [("synth-001", 0)]
+        _, windows = protocols.read_windows_json(out / "windows.json")
+        assert [(patient, episode) for patient, episode, _ in windows] == [("synth-001", 0)]
+
     def test_protocol_c_windows_contain_hypoglycemia(self, protocol_fixture, tmp_path):
         out = tmp_path / "C"
         assert run(
@@ -650,6 +663,28 @@ class TestGappedTruthScoring:
         assert summary["n_points"] == truth.size == 2 * len(gapped["scored"])
         assert summary["truth_mean"] == pytest.approx(float(truth.mean()), rel=1e-12)
 
+    def test_route_fills_from_the_retained_samples(self, gapped, tmp_path):
+        out = tmp_path / "route"
+        assert run("route", "--input", gapped["cgm"], "--masks", gapped["masks"],
+                   "--external", gapped["lerp"], "--out", out) == 0
+        truth = {(ep.patient_id, ep.episode_id): ep for ep in core.ingest_csv(gapped["cgm"], 240)}
+        _, mask_map = masks.read_masks_json(gapped["masks"])
+        decisions = json.loads((out / "routing.json").read_text())["decisions"]
+        assert len(decisions) == sum(len(core.bits_to_runs(m.bits)) for m in mask_map.values())
+        for d in decisions:
+            key, start = (d["patient_id"], d["episode_id"]), d["start_index"]
+            bits, glucose = mask_map[key].bits, truth[key].glucose
+            for boundary, t in ((d["left_boundary"], start - 1),
+                                (d["right_boundary"], start + d["length_samples"])):
+                if boundary is not None:
+                    assert bits[t] == 1 and boundary == glucose[t]
+        routed, lerp = self._lerp_values(out / "routed.csv"), self._lerp_values(gapped["lerp"])
+        assert routed.keys() == truth.keys()
+        for key, values in routed.items():
+            retained = mask_map[key].bits == 1
+            assert np.array_equal(values[retained], truth[key].glucose[retained])
+            assert np.array_equal(values[~retained], lerp[key][~retained])
+
 
 class TestWorkerCap:
     def test_invalid_thread_cap_rejected(self, tmp_path, monkeypatch, capsys):
@@ -1020,7 +1055,34 @@ READER_CASES = {
         "tcr", TCR_HEAD + f"synth-001,0,126,{BIG_FIELD}\r\n", f"line 2: {TOO_BIG}"),
     "tcr-long-row": _csv_case(
         "tcr", TCR_HEAD + "synth-001,0,126,174,9\r\n", "line 2: expected 4 fields, got 5"),
+    "tcr-end-before-start": _csv_case(
+        "tcr", TCR_HEAD + "synth-001,0,200,100\r\nsynth-001,1,-50,30\r\n",
+        "line 2: tcr_end_index 100 is not after tcr_start_index 200"),
+    "tcr-negative-start": _csv_case(
+        "tcr", TCR_HEAD + "synth-001,0,126,174\r\nsynth-001,1,-50,30\r\n",
+        "line 3: tcr_start_index -50 is negative"),
+    "tcr-empty-interval": _csv_case(
+        "tcr", TCR_HEAD + "synth-001,0,126,126\r\n",
+        "line 2: tcr_end_index 126 is not after tcr_start_index 126"),
     "masks-patient-list": _record_edit("masks", "patient_id", ["x"], "evaluate"),
+    "masks-record-provenance": _doc_edit(
+        "masks", lambda doc: doc["masks"][1].update(provenance="protocol_C"),
+        "masks[1]: provenance 'protocol_C' does not match the document's 'protocol_A'"),
+    "masks-record-provenance-default": _doc_edit(
+        "masks", lambda doc: doc["masks"][0].pop("provenance"),
+        "masks[0]: provenance 'empirical' does not match the document's 'protocol_A'"),
+    "masks-document-provenance-default": _doc_edit(
+        "masks", lambda doc: doc.pop("provenance"),
+        "masks[0]: provenance 'protocol_A' does not match the document's 'empirical'"),
+    "masks-t-text": _doc_edit(
+        "masks", lambda doc: doc["masks"][0].update(T="288"),
+        "masks[0]: T, start_index and length_samples must be integers, with T >= 1", "impute"),
+    "masks-t-float": _doc_edit(
+        "masks", lambda doc: doc["masks"][0].update(T=288.0),
+        "masks[0]: T, start_index and length_samples must be integers, with T >= 1", "impute"),
+    "masks-gap-start-float": _doc_edit(
+        "masks", lambda doc: doc["masks"][0]["gaps"][0].update(start_index=1.5),
+        "masks[0]: T, start_index and length_samples must be integers, with T >= 1", "impute"),
     "masks-episode-bool": _record_edit("masks", "episode_id", True, "evaluate"),
     "masks-seed-list": _record_edit("masks", "seed", [1], "impute"),
     "masks-seed-text": _record_edit("masks", "seed", "x", "impute"),

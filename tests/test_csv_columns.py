@@ -470,6 +470,23 @@ class TestColumnReaderMemory:
         assert hit <= rows_peak + 2 * 2**20, (hit, rows_peak)
 
 
+class TestLineLongerThanTwoBlocks:
+    def test_declined_before_the_line_is_gathered(self, tmp_path, own_cache, capsys):
+        """The reader holds at most one block of a line; the row reader then names the line."""
+        rows = "".join(f"p1,{5 * i},100.0,0.0,0.0,1.0\r\n" for i in range(2000))
+        long_line = f"p1,10000,100.0,0.0,0.0,{'1' * (2 * formats.BLOCK_BYTES + 10)}\r\n"
+        path = tmp_path / "cgm.csv"
+        path.write_text(",".join(core.CGM_HEADER) + "\r\n" + rows + long_line + rows)
+        with counted_blocks() as blocks:
+            assert formats.read_columns(path, core.CGM_HEADER, "tiffff") is None
+        assert max(len(call.args[0]) for call in blocks.call_args_list) <= formats.BLOCK_BYTES
+        assert entries() == []
+        assert cli.main(["stress", "--input", str(path), "--protocol", "A", "--seed", "1",
+                         "--out", str(tmp_path / "A")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 2002: field larger than field limit (131072)\n")
+
+
 @contextmanager
 def counted_blocks():
     """Count the blocks the column reader parses (the mock keeps each block alive)."""

@@ -106,6 +106,34 @@ class TestIdentityOnRetained:
             assert np.array_equal(out.values[bits == 1], g[bits == 1])
 
 
+class TestGappedTruth:
+    """A hidden index the truth never observed gets the fill like any other hidden index."""
+
+    # indices 0 and 4 were never observed; the mask hides them, 1 and 6
+    GLUCOSE = [np.nan, 90.0, 100.0, 110.0, np.nan, 150.0, 130.0]
+    BITS = [0, 0, 1, 1, 0, 1, 0]
+
+    @pytest.mark.parametrize("method, hidden_values", [
+        ("mean", [120.0] * 4),
+        ("median", [110.0] * 4),
+        ("locf", [100.0, 100.0, 110.0, 150.0]),
+        ("lerp", [100.0, 100.0, 130.0, 150.0]),
+    ])
+    def test_fill_at_hidden_truth_at_retained(self, method, hidden_values):
+        ep = make_episode(self.GLUCOSE)
+        out = imp.BUILTIN_IMPUTERS[method](ep, mask_of(self.BITS))
+        assert out.values[[0, 1, 4, 6]].tolist() == hidden_values
+        assert out.values[[2, 3, 5]].tolist() == [100.0, 110.0, 150.0]
+        assert out.method == method
+        assert out.episode_ref == ("p1", 0)
+
+    def test_retaining_a_never_observed_index_rejected(self):
+        ep = make_episode(self.GLUCOSE)
+        for fn in imp.BUILTIN_IMPUTERS.values():
+            with pytest.raises(IntegrityError, match="no ground-truth observation"):
+                fn(ep, mask_of([1, 0, 1, 1, 0, 1, 0]))
+
+
 class TestExternalFile:
     def setup_corpus(self):
         eps = [

@@ -332,6 +332,19 @@ class TestPeakMasks:
         with pytest.raises(SelectionError):
             pr.build_peak_masks(ep, 1, seed=0)
 
+    def test_window_cut_at_midnight_skipped_for_the_next_meal(self):
+        # the episode starts at noon; the 22:50 meal peaks at 23:50, so its window ends
+        # at midnight (index 144) after 13 samples, and the 04:40 meal is taken instead
+        g = np.full(288, 100.0)
+        for meal in (130, 200):
+            g[meal : meal + 13] = np.linspace(100.0, 180.0, 13)
+            g[meal + 12 : meal + 37] = np.linspace(180.0, 100.0, 25)
+        ep = make_episode(g, start_minute=720, carbs={130: 40.0, 200: 40.0})
+        for seed in range(5):
+            _, (window,) = pr.build_peak_masks(ep, 1, seed=seed)
+            assert (window.meal_index, window.anchor_index) == (200, 212)
+            assert window.end_index - window.start_index >= pr.MIN_SAMPLES_B
+
     def test_requires_complete_glucose(self):
         g = np.full(288, 100.0)
         g[5] = np.nan
