@@ -4,7 +4,9 @@ Each command runs in a fresh process, so each imports only the modules it
 runs: at module level this file imports just ``errors`` and ``core``, and
 every ``cmd_*`` (or the helper it calls) imports the rest. Only ``fit``
 loads scipy. ``ingest_csv`` and ``export_csv`` stay names of this module,
-looked up at call time, so that a caller can replace them here.
+looked up at call time, so that a caller can replace them here. Importing
+this module defaults OPENBLAS_NUM_THREADS to 1, so that no command starts
+a BLAS thread pool.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .core import export_csv, ingest_csv, split_mask
+# before numpy loads: no command's BLAS work needs a thread pool; an explicit setting wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .core import export_csv, ingest_csv, split_mask  # noqa: E402 - after the BLAS default
 from .errors import ConfigError, CoverageError, EstimationError, FitError, ParseError, RegimeBenchError
 
 # the --method choices, kept here so that building the parser imports no imputers;
@@ -175,7 +180,8 @@ def cmd_stress(args) -> int:
     if args.protocol == "C":
         if args.tcr is None:
             raise RegimeBenchError("protocol C requires --tcr metadata")
-        tcr_map = protocols.read_tcr_csv(args.tcr)
+        lengths = {(ep.patient_id, ep.episode_id): ep.T for ep in episodes}
+        tcr_map = protocols.read_tcr_csv(args.tcr, lengths)
     condition = _CONDITIONS[args.protocol].format(**vars(args))
     mask_entries, window_entries = [], []
     for ep in episodes:

@@ -182,16 +182,20 @@ def _load_external_columns(path, pairs: list[tuple[Episode, Mask]],
     episode, t, value = table.T
     if len(methods) != 1 or np.isnan(value).any():  # NaN stands for an empty value field
         return None
-    # an episode's block starts wherever the patient or the episode id changes
+    # an episode's block starts wherever the patient or the episode id changes; flags and a
+    # sorted diff stand in for np.union1d and np.unique, which load numpy.ma (about 13 ms)
     patient_starts = [start for _, start in patients]
-    starts = np.union1d(patient_starts, np.flatnonzero(np.diff(episode)) + 1)
+    is_start = np.zeros(len(table), dtype=bool)
+    is_start[patient_starts] = True
+    is_start[1:] |= episode[1:] != episode[:-1]
+    starts = np.flatnonzero(is_start)
     ends = np.append(starts[1:], len(table))
     owners = np.searchsorted(patient_starts, starts, side="right") - 1
     series = {}
     for lo, hi, owner in zip(starts.tolist(), ends.tolist(), owners.tolist()):
         key = (patients[owner][0], int(episode[lo]))
         times, T = t[lo:hi], lengths.get(key)
-        if (key in series or np.unique(times).size < hi - lo
+        if (key in series or (np.diff(np.sort(times)) == 0).any()
                 or T is not None and (times.min() < 0 or times.max() >= T)):
             return None
         series[key] = (times, value[lo:hi])

@@ -296,11 +296,14 @@ def write_tcr_csv(rows, path):
     formats.write_lines(path, TCR_HEADER, lines)
 
 
-def read_tcr_csv(path) -> dict[tuple[str, int], list[tuple[int, int]]]:
+def read_tcr_csv(path, lengths=None) -> dict[tuple[str, int], list[tuple[int, int]]]:
     """Load TCR intervals; returns {(patient_id, episode_id): [(start, end), ...]}.
 
-    Each interval must satisfy 0 <= tcr_start_index < tcr_end_index; a row
-    that does not raises ParseError ``<path>: line N: ...``.
+    Each interval must satisfy 0 <= tcr_start_index < tcr_end_index. Given
+    lengths, {(patient_id, episode_id): T} of the CGM input, each row must
+    also name one of its episodes and start before that episode's T (an end
+    past T is clamped where the interval is used). A row that breaks a rule
+    raises ParseError ``<path>: line N: ...``.
     """
     out: dict[tuple[str, int], list[tuple[int, int]]] = {}
 
@@ -314,6 +317,12 @@ def read_tcr_csv(path) -> dict[tuple[str, int], list[tuple[int, int]]]:
             raise ParseError(f"tcr_start_index {start} is negative")
         if end <= start:
             raise ParseError(f"tcr_end_index {end} is not after tcr_start_index {start}")
+        if lengths is not None:
+            if key not in lengths:
+                raise ParseError(f"episode {key[0]}/{key[1]} is not in the CGM input")
+            if start >= lengths[key]:
+                raise ParseError(f"tcr_start_index {start} is not before the end of episode "
+                                 f"{key[0]}/{key[1]} (T = {lengths[key]})")
         out.setdefault(key, []).append((start, end))
 
     formats.read_csv(path, TCR_HEADER, parse)

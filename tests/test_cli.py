@@ -697,11 +697,15 @@ class TestWorkerCap:
         assert run("synth", "--days", 1, "--out", tmp_path / "fx") == 0
 
 
-def _last_line_of(code):
-    """Run code in a fresh interpreter with this package importable; returns its last output line."""
+def _last_line_of(code, **overrides):
+    """Run code in a fresh interpreter with this package importable; returns its last output line.
+
+    overrides set environment variables of the child; None unsets one.
+    """
     src = Path(cli.__file__).resolve().parents[1]
     path = [str(src), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **overrides}
+    env = {name: value for name, value in env.items() if value is not None}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
@@ -737,6 +741,29 @@ class TestScipyLoadedOnlyWhereCalled:
         assert (tmp_path / "eval" / "report.json").exists()
 
 
+# the variables OpenBLAS reads for its thread count
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+class TestBlasThreads:
+    """Every command runs BLAS on one thread, decided in cli before numpy loads."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_cli_import_starts_no_blas_thread(self):
+        # this process imported cli, so its own environment already holds the default
+        code = ("import os, regime_bench.cli, numpy\n"
+                "from scipy.optimize import least_squares\n"
+                "print(len(os.listdir('/proc/self/task')))")
+        assert _last_line_of(code, **dict.fromkeys(BLAS_THREAD_VARIABLES)) == "1"
+
+    def test_explicit_setting_wins(self):
+        code = "import os, regime_bench.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert _last_line_of(code, OPENBLAS_NUM_THREADS="3") == "3"
+
+    def test_importing_the_package_loads_no_numpy(self):
+        assert _last_line_of("import sys, regime_bench\nprint('numpy' in sys.modules)") == "False"
+
+
 # module -> the commands that load it; no other command may
 LOADED_ONLY_BY = {
     "regime_bench.router": {"route"},
@@ -747,6 +774,8 @@ LOADED_ONLY_BY = {
     # OpenSSL's hashes, megabytes of RSS: seed derivation and scipy load them, and the
     # read cache's BLAKE2b must not
     "_hashlib": {"synth", "fit", "mask", "stress"},
+    # about 13 ms of imports; scipy's least_squares loads it
+    "numpy.ma": {"fit"},
 }
 
 
@@ -813,6 +842,47 @@ class TestProtocolAEdges:
             "error: episode synth-001/0 has only 28 disjoint stable windows; "
             "achievable ratio <= 0.5833\n"
         )
+
+
+class TestProtocolCIntervals:
+    """Protocol C rejects a TCR row it cannot use, naming the file and the line."""
+
+    def _stress_c(self, fixture, tmp_path, rows):
+        tcr = tmp_path / "tcr.csv"
+        protocols.write_tcr_csv(rows, tcr)
+        code = run("stress", "--input", fixture / "cgm.csv", "--protocol", "C", "--tcr", tcr,
+                   "--seed", 1, "--out", tmp_path / "C")
+        return code, tcr
+
+    @pytest.mark.parametrize("patient, episode, line", [("synth-001", 7, 3), ("ghost", 0, 2)])
+    def test_unknown_episode_rejected(self, protocol_fixture, tmp_path, capsys, patient, episode,
+                                      line):
+        code, tcr = self._stress_c(protocol_fixture, tmp_path,
+                                   [("synth-001", 0, 126, 174), (patient, episode, 126, 174)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {tcr}: line {line}: episode {patient}/{episode} is not in the CGM input\n"
+        )
+
+    @pytest.mark.parametrize("start", [288, 300])
+    def test_start_at_or_past_the_end_rejected(self, protocol_fixture, tmp_path, capsys, start):
+        code, tcr = self._stress_c(protocol_fixture, tmp_path,
+                                   [("synth-001", 0, 126, 174), ("synth-001", 1, start, 400)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {tcr}: line 3: tcr_start_index {start} is not before the end of episode "
+            "synth-001/1 (T = 288)\n"
+        )
+
+    def test_end_past_the_episode_is_clamped(self, protocol_fixture, tmp_path, capsys):
+        # an end past T reads as T
+        code, _ = self._stress_c(protocol_fixture, tmp_path, [("synth-001", 0, 126, 400)])
+        assert code == 0 and capsys.readouterr().err == ""
+        clamped = json.loads((tmp_path / "C" / "windows.json").read_text())
+        assert len(clamped["windows"]) == 1
+        code, _ = self._stress_c(protocol_fixture, tmp_path, [("synth-001", 0, 126, 288)])
+        assert code == 0
+        assert json.loads((tmp_path / "C" / "windows.json").read_text()) == clamped
 
 
 class TestEvaluateNothingScored:
