@@ -28,17 +28,17 @@ from .errors import ConfigError, CoverageError, EstimationError, FitError, Parse
 IMPUTE_METHODS = ("lerp", "locf", "mean", "median")
 
 
-def _worker_cap() -> int:
+def _check_worker_cap() -> None:
+    """Reject a REGIME_BENCH_THREADS that is not a positive integer; the commands run one thread."""
     raw = os.environ.get("REGIME_BENCH_THREADS")
     if raw is None:
-        return 1
+        return
     try:
         cap = int(raw)
     except ValueError:
         cap = 0
     if cap < 1:
         raise RegimeBenchError(f"REGIME_BENCH_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 @contextmanager
@@ -208,7 +208,10 @@ def cmd_impute(args) -> int:
         imputations = imputers.load_external(args.external, pairs)
     else:
         impute = imputers.BUILTIN_IMPUTERS[args.method]
-        imputations = [impute(ep, mask) for ep, mask in pairs]
+        imputations = []
+        for ep, mask in pairs:
+            with _for_episode((ep.patient_id, ep.episode_id)):
+                imputations.append(impute(ep, mask))
     imputers.write_imputations_csv(imputations, args.out)
     print(args.out)
     return 0
@@ -429,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="ground-truth CGM CSV")
     p.add_argument("--imputed", action="append", required=True)
     p.add_argument("--masks", required=True)
-    p.add_argument("--windows", help="windows JSON for protocol labeling")
+    p.add_argument("--windows", help="windows JSON, checked against --masks")
     _add_partition_gap(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_evaluate)
@@ -465,7 +468,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _worker_cap()
+        _check_worker_cap()
         return args.func(args)
     except (RegimeBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -170,21 +170,19 @@ def sample_masks(episodes, model: MissingnessModel, master_seed: int) -> list[Ma
     ]
 
 
+def masked_view(episode: Episode, retained: np.ndarray) -> Episode:
+    """The episode as a mask shows it: observed is the retained set, glucose NaN off it."""
+    glucose = np.where(retained, episode.glucose, np.nan)
+    return Episode(episode.patient_id, episode.episode_id, episode.start_minute, glucose,
+                   episode.exog, retained)
+
+
 def apply_mask(episode: Episode, mask: Mask) -> Episode:
     """Hide glucose where the mask is 0; the original episode keeps ground truth."""
     retained, scored = split_mask(mask.bits, episode.observed)
     if not np.all(retained | scored):  # an index in neither set was never observed
         raise IntegrityError("mask hides indices that were never observed")
-    glucose = episode.glucose.copy()
-    glucose[scored] = np.nan
-    return Episode(
-        episode.patient_id,
-        episode.episode_id,
-        episode.start_minute,
-        glucose,
-        episode.exog,
-        retained,
-    )
+    return masked_view(episode, retained)
 
 
 def write_masks_json(entries, path, provenance: str = "empirical", condition: str | None = None):

@@ -187,11 +187,7 @@ def make_mixture(
     return DurationMixture(A, k, B, mu, sigma, gamma, *(m / total for m in masses))
 
 
-def fit_duration_density(
-    centers: np.ndarray,
-    values: np.ndarray,
-    max_nfev: int = 20000,
-) -> DurationMixture:
+def fit_duration_density(centers: np.ndarray, values: np.ndarray) -> DurationMixture:
     """Bounded nonlinear least squares for the three-component duration density.
 
     The fitted curve is ``DurationMixture.density``, so centers belong on the
@@ -213,7 +209,7 @@ def fit_duration_density(
     x0 = np.clip(x0, lb, ub)
     result = least_squares(
         lambda th: DurationMixture(*th, 0.0, 0.0, 0.0).density(centers) - values,
-        x0, bounds=(lb, ub), max_nfev=max_nfev,
+        x0, bounds=(lb, ub), max_nfev=20000,
     )
     if result.status <= 0:
         raise ConvergenceError(
@@ -223,7 +219,7 @@ def fit_duration_density(
 
 
 def fit_mixture(gaps: list[GapEvent], regime: str, min_gaps: int = 30) -> DurationMixture:
-    """Fit the sustained-gap duration mixture for one regime.
+    """Fit the sustained-gap duration mixture for one regime, from at least max(min_gaps, 1) gaps.
 
     Durations above the 240-min cap are excluded; the empirical histogram is
     normalized to unit mass before fitting, so A, B and gamma carry
@@ -234,10 +230,9 @@ def fit_mixture(gaps: list[GapEvent], regime: str, min_gaps: int = 30) -> Durati
         for g in _regime_gaps(gaps, regime)
         if DELTA_MIN_SUSTAINED <= g.duration <= DELTA_MAX
     ]
-    if len(durations) < min_gaps:
-        raise FitError(
-            f"{regime} regime has {len(durations)} sustained gaps, need >= {min_gaps}"
-        )
+    need = max(min_gaps, 1)  # an empty histogram has nothing to fit
+    if len(durations) < need:
+        raise FitError(f"{regime} regime has {len(durations)} sustained gaps, need >= {need}")
     return fit_duration_density(BIN_CENTERS, duration_histogram(durations))
 
 

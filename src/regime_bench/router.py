@@ -10,7 +10,7 @@ from . import formats
 from .core import Episode, bits_to_runs, split_mask
 from .errors import RoutingError
 from .imputers import Imputation, impute_lerp
-from .masks import Mask
+from .masks import Mask, masked_view
 from .protocols import StabilityCriteria, gradient_of
 
 
@@ -83,9 +83,7 @@ def adaptive_impute(
     Each gap is classified on the pair's retained samples only, so truth may
     itself be gapped: an index the truth never observed may be hidden too.
     """
-    retained, _ = split_mask(mask.bits, episode.observed)
-    gapped = Episode(episode.patient_id, episode.episode_id, episode.start_minute,
-                     np.where(retained, episode.glucose, np.nan), episode.exog, retained)
+    gapped = masked_view(episode, split_mask(mask.bits, episode.observed)[0])
     runs = bits_to_runs(mask.bits)
     values = episode.glucose.copy()
     lerp_fill = None

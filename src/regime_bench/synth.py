@@ -12,6 +12,7 @@ exceeds any episode-split threshold).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +30,11 @@ TCR_DELAY_MIN = 150  # activation 2.5 h post-meal
 TCR_DURATION_MIN = 240  # active for 4 h
 TCR_BASAL_FACTOR = 0.05
 
+BOLUS_UNITS = 5.0  # insulin with each meal
+BASAL_RATE = 1.0
+PEAK_RISE, PEAK_FALL = 60, 120  # minutes to the meal peak, then back to baseline
+HYPO_FALL, HYPO_RISE = 30, 30  # minutes down to the dip's bottom, then back up
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -36,14 +42,8 @@ class SynthConfig:
     baseline: float = 100.0
     meal_times: tuple[int, ...] = (480, 780, 1140)  # minutes of day
     meal_carbs: float = 40.0
-    bolus_units: float = 5.0
-    basal_rate: float = 1.0
     peak_amplitude: float = 80.0
-    peak_rise: int = 60  # minutes to peak
-    peak_fall: int = 120  # minutes back to baseline
     hypo_depth: float = 0.0  # mg/dL below 70; 0 disables the dip
-    hypo_fall: int = 30
-    hypo_rise: int = 30
     tcr_meal: int = 0  # which meal gets the TCR intervention
     drift_amplitude: float = 0.0  # triangular baseline drift, piecewise affine
     drift_period: int = 480
@@ -68,10 +68,14 @@ def _validate(config: SynthConfig) -> tuple[int | None, int | None]:
         raise ConfigError("days must be >= 1")
     if not 70.0 <= config.baseline <= 140.0:
         raise ConfigError("baseline must lie in the euglycemic band [70, 140]")
-    if config.peak_amplitude < 0 or config.noise_std < 0 or config.hypo_depth < 0:
-        raise ConfigError("amplitudes and noise_std must be non-negative")
-    if config.peak_rise <= 0 or config.peak_fall <= 0 or config.drift_period <= 0:
-        raise ConfigError("rise/fall/period durations must be positive")
+    for name in ("meal_carbs", "peak_amplitude", "hypo_depth", "noise_std"):
+        value = getattr(config, name)
+        if not 0 <= value < math.inf:
+            raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
+    if not math.isfinite(config.drift_amplitude):
+        raise ConfigError(f"drift_amplitude must be a finite number, got {config.drift_amplitude!r}")
+    if config.drift_period <= 0:
+        raise ConfigError("drift_period must be positive")
     for mt in config.meal_times:
         if mt % 5 or not 0 <= mt < 1440:
             raise ConfigError(f"meal time {mt} must be a 5-min multiple in [0, 1440)")
@@ -82,11 +86,11 @@ def _validate(config: SynthConfig) -> tuple[int | None, int | None]:
     meal = config.meal_times[config.tcr_meal] if config.meal_times else None
     center = meal + TCR_DELAY_MIN + TCR_DURATION_MIN // 2 if config.hypo_depth > 0 else None
     spans = [
-        (float(mt), float(mt + config.peak_rise + config.peak_fall), "peak")
+        (float(mt), float(mt + PEAK_RISE + PEAK_FALL), "peak")
         for mt in config.meal_times
     ]
     if center is not None:
-        spans.append((float(center - config.hypo_fall), float(center + config.hypo_rise), "hypo"))
+        spans.append((float(center - HYPO_FALL), float(center + HYPO_RISE), "hypo"))
     spans.sort()
     for (s0, e0, k0), (s1, e1, k1) in zip(spans, spans[1:]):
         if e0 > s1:
@@ -122,10 +126,8 @@ def generate(config: SynthConfig) -> SynthResult:
     # labels carry a one-sample guard band: central differences at a sample
     # touch its neighbors, so the excursion's influence extends one step out
     for mt in config.meal_times:
-        signal = signal + config.peak_amplitude * _triangle(
-            tt, mt, config.peak_rise, config.peak_fall
-        )
-        labels[(tt >= mt - 5) & (tt <= mt + config.peak_rise + config.peak_fall + 5)] = LABEL_PEAK
+        signal = signal + config.peak_amplitude * _triangle(tt, mt, PEAK_RISE, PEAK_FALL)
+        labels[(tt >= mt - 5) & (tt <= mt + PEAK_RISE + PEAK_FALL + 5)] = LABEL_PEAK
 
     tcr_span = None
     if meal is not None:
@@ -141,21 +143,17 @@ def generate(config: SynthConfig) -> SynthResult:
             _drift(np.array([float(center)]), config.drift_amplitude, config.drift_period)[0]
         )
         depth = center_level - (70.0 - config.hypo_depth)
-        signal = signal - depth * _triangle(
-            tt, center - config.hypo_fall, config.hypo_fall, config.hypo_rise
-        )
-        labels[
-            (tt >= center - config.hypo_fall - 5) & (tt <= center + config.hypo_rise + 5)
-        ] = LABEL_HYPO
+        signal = signal - depth * _triangle(tt, center - HYPO_FALL, HYPO_FALL, HYPO_RISE)
+        labels[(tt >= center - HYPO_FALL - 5) & (tt <= center + HYPO_RISE + 5)] = LABEL_HYPO
 
     carbs = np.zeros(SAMPLES_PER_DAY)
     bolus = np.zeros(SAMPLES_PER_DAY)
     for mt in config.meal_times:
         carbs[mt // 5] = config.meal_carbs
-        bolus[mt // 5] = config.bolus_units
-    basal = np.full(SAMPLES_PER_DAY, config.basal_rate)
+        bolus[mt // 5] = BOLUS_UNITS
+    basal = np.full(SAMPLES_PER_DAY, BASAL_RATE)
     if tcr_span is not None:
-        basal[tcr_span[0] : tcr_span[1]] = config.basal_rate * TCR_BASAL_FACTOR
+        basal[tcr_span[0] : tcr_span[1]] = BASAL_RATE * TCR_BASAL_FACTOR
     exog = np.column_stack([carbs, bolus, basal])
 
     episodes = []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import build_injected_model, gapped_days
-from regime_bench import cli, core, imputers, masks, missingness, protocols
+from regime_bench import cli, core, imputers, masks, missingness, protocols, synth
 from regime_bench.errors import RegimeBenchError
 from regime_bench.imputers import Imputation
 
@@ -1207,3 +1207,72 @@ class TestReaderContract:
                                 r"external source for synth-001/\d+\n", err)
         else:
             assert err == f"error: {bad}: {detail}\n"
+
+
+class TestSynthRejectsUnusableNumbers:
+    """synth names the field of a non-finite or negative number and writes nothing."""
+
+    @pytest.mark.parametrize("option, value, detail", [
+        ("--meal-carbs", "-5", "meal_carbs must be a finite number >= 0, got -5.0"),
+        ("--meal-carbs", "nan", "meal_carbs must be a finite number >= 0, got nan"),
+        ("--meal-carbs", "inf", "meal_carbs must be a finite number >= 0, got inf"),
+        ("--noise-std", "nan", "noise_std must be a finite number >= 0, got nan"),
+        ("--peak-amplitude", "nan", "peak_amplitude must be a finite number >= 0, got nan"),
+        ("--peak-amplitude", "inf", "peak_amplitude must be a finite number >= 0, got inf"),
+        ("--hypo-depth", "inf", "hypo_depth must be a finite number >= 0, got inf"),
+        ("--hypo-depth", "nan", "hypo_depth must be a finite number >= 0, got nan"),
+        ("--drift-amplitude", "nan", "drift_amplitude must be a finite number, got nan"),
+        ("--drift-amplitude", "inf", "drift_amplitude must be a finite number, got inf"),
+    ])
+    def test_error_names_the_field(self, tmp_path, capsys, option, value, detail):
+        out = tmp_path / "fx"
+        assert run("synth", "--days", 1, option, value, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {detail}\n"
+        assert not out.exists()
+
+
+class TestFitNeedsOneSustainedGap:
+    @pytest.mark.parametrize("min_gaps", [0, -3])
+    def test_min_gaps_below_one_fails_cleanly(self, tmp_path, capsys, min_gaps):
+        # every night gap is a single-sample dropout; each day has one 30-minute gap at noon
+        truth = synth.generate(synth.SynthConfig(days=4)).episodes
+        mask = masks.Mask(core.runs_to_bits(288, [(12, 1), (40, 1), (150, 6)]))
+        cgm = tmp_path / "cgm.csv"
+        core.export_csv([masks.apply_mask(ep, mask) for ep in truth], cgm)
+        capsys.readouterr()
+        assert run("fit", "--input", cgm, "--min-gaps", min_gaps,
+                   "--out", tmp_path / "model.json") == 1
+        assert capsys.readouterr().err == (
+            "error: mixture estimation failed: night regime has 0 sustained gaps, need >= 1\n"
+        )
+        assert not (tmp_path / "model.json").exists()
+
+
+class TestImputeErrorNamesTheEpisode:
+    @pytest.mark.parametrize("method", cli.IMPUTE_METHODS)
+    def test_nothing_retained(self, two_days, tmp_path, capsys, method):
+        masks_path = tmp_path / "masks.json"
+        masks.write_masks_json([("synth-001", 0, masks.Mask(np.zeros(288)))], masks_path)
+        assert run("impute", "--input", two_days / "cgm.csv", "--masks", masks_path,
+                   "--method", method, "--out", tmp_path / "out.csv") == 1
+        assert capsys.readouterr().err == (
+            "error: imputer needs at least one retained observation for synth-001/0\n"
+        )
+
+
+class TestSynthFixtureBytes:
+    """The noise-free fixture's bytes, so that a changed shape constant shows."""
+
+    DIGESTS = {
+        "cgm.csv": "e8d292e48b9b6e84788d26de5cef0fb0d8b24f23f4351bb957cb72452001920f",
+        "labels.csv": "64efebb8020b2f14a645ccac68d07b9760b3d77ce3c9c75556ac5e2943af625c",
+        "tcr.csv": "d59d0f93258489837ae60dfab00e85569aad6746291d9c7e0cad142f4725a1c5",
+    }
+
+    def test_sha256_of_each_file(self, tmp_path):
+        import hashlib
+
+        assert run("synth", "--days", 2, "--hypo-depth", 12, "--drift-amplitude", 10,
+                   "--out", tmp_path) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in self.DIGESTS} == self.DIGESTS

@@ -175,6 +175,18 @@ class TestApplyMask:
             mk.apply_mask(ep, Mask(np.array([1, 1, 0], dtype=np.uint8)))
 
 
+class TestMaskedView:
+    def test_gapped_truth(self):
+        # the mask hides a retained sample and the one the truth never observed
+        ep = make_episode([100.0, np.nan, 120.0, 130.0])
+        retained = np.array([True, False, False, True])
+        out = mk.masked_view(ep, retained)
+        assert list(out.observed) == [1, 0, 0, 1]
+        assert np.array_equal(out.glucose, [100.0, np.nan, np.nan, 130.0], equal_nan=True)
+        assert (out.patient_id, out.episode_id, out.start_minute) == ("p1", 0, 0)
+        assert np.array_equal(out.exog, ep.exog)
+
+
 class TestRunLengthEncoding:
     @given(bits=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=100))
     @settings(max_examples=200, deadline=None)
