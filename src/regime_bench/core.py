@@ -25,6 +25,8 @@ INPUT_HEADER = ["t", "masked_glucose", "carbs", "bolus", "basal", "sin_t", "cos_
 
 _EPOCH = datetime(1970, 1, 1)
 
+MERGE_ROWS = 1 << 14  # rows merged into grid cells at a time; a longer cell grows its chunk
+
 
 @dataclass(frozen=True, eq=False)
 class Episode:
@@ -177,9 +179,12 @@ def ingest_csv(path, partition_gap_minutes: int) -> list[Episode]:
     rows = _read_columns(path)
     if rows is None:
         rows = _read_rows(path)
+    # each patient's rows are dropped as they are merged, so the table is gone before
+    # the first episode is built
+    cells = {patient: _merge_cells(rows.pop(patient)) for patient in sorted(rows)}
     episodes = []
-    for patient in sorted(rows):
-        episodes += _partition(patient, rows[patient], partition_gap_minutes)
+    for patient, merged in cells.items():
+        episodes += _partition(patient, merged, partition_gap_minutes)
     return episodes
 
 
@@ -253,25 +258,56 @@ def _last_per_cell(cell: np.ndarray, values: np.ndarray, keep: np.ndarray, fill:
     return out
 
 
-def _partition(patient: str, rows: np.ndarray, partition_gap_minutes: int) -> list[Episode]:
-    """Episodes from one patient's (n, 5) (minute, glucose, carbs, bolus, basal) rows."""
-    minute, glucose, carbs, bolus, basal = rows.T
-    # round-half-up keeps tie handling deterministic across platforms; grid indices stay
-    # floats, which hold any timestamp the reader accepts where an int64 may overflow
-    grid = np.floor(minute / GRID_MINUTES + 0.5)
-    # timestamps never decrease, so each grid point's rows form one run, numbered by cell
-    first = np.diff(grid, prepend=-np.inf) > 0
-    cell, grid = np.cumsum(first) - 1, grid[first]
-    # a later reading wins a collision, events accumulate, a later non-zero basal wins
-    values = np.column_stack([_last_per_cell(cell, glucose, ~np.isnan(glucose), np.nan),
-                              np.bincount(cell, carbs), np.bincount(cell, bolus),
-                              _last_per_cell(cell, basal, basal != 0, 0.0)])
+def _merge_cells(rows: np.ndarray) -> np.ndarray:
+    """One patient's (n, 5) (minute, glucose, carbs, bolus, basal) rows merged into grid cells.
+
+    Returns (grid, glucose, carbs, bolus, basal) per cell that holds a row,
+    grid being the cell's index on the 5-minute grid. The rows are merged
+    MERGE_ROWS at a time into one preallocated array, each chunk cut where a
+    cell starts, so that no temporary spans all the rows.
+    """
+    n = len(rows)
+    # one large block, returned to the system whole when freed; a separate grid array
+    # would be small enough to sit in the heap under the episodes built after it
+    cells = np.empty((n, 5))
+    lo, filled, size = 0, 0, MERGE_ROWS
+    while lo < n:
+        hi = min(lo + size, n)
+        # round-half-up keeps tie handling deterministic across platforms; grid indices
+        # stay floats, which hold any timestamp the reader accepts where an int64 may overflow
+        grid = np.floor(rows[lo:hi, 0] / GRID_MINUTES + 0.5)
+        # timestamps never decrease, so each grid point's rows form one run, numbered by
+        # cell; a chunk starts with a cell, since the one before it ended with one
+        first = np.diff(grid, prepend=-np.inf) > 0
+        if hi < n:  # the last cell may go on past the chunk: leave it to the next one
+            cut = np.flatnonzero(first)[-1]
+            if cut == 0:  # one cell fills the chunk
+                size *= 2
+                continue
+            hi, grid, first = lo + cut, grid[:cut], first[:cut]
+        cell = np.cumsum(first) - 1
+        _, glucose, carbs, bolus, basal = rows[lo:hi].T
+        out = cells[filled : filled + cell[-1] + 1]
+        out[:, 0] = grid[first]
+        # a later reading wins a collision, events accumulate, a later non-zero basal wins
+        out[:, 1] = _last_per_cell(cell, glucose, ~np.isnan(glucose), np.nan)
+        out[:, 2] = np.bincount(cell, carbs)
+        out[:, 3] = np.bincount(cell, bolus)
+        out[:, 4] = _last_per_cell(cell, basal, basal != 0, 0.0)
+        lo, filled, size = hi, filled + len(out), MERGE_ROWS
+    return cells[:filled]
+
+
+def _partition(patient: str, cells: np.ndarray, partition_gap_minutes: int) -> list[Episode]:
+    """Episodes from one patient's merged (grid, glucose, carbs, bolus, basal) cells."""
+    grid, values = cells[:, 0], cells[:, 1:]
     obs = np.flatnonzero(~np.isnan(values[:, 0]))
     if obs.size == 0:
         return []
     # split where consecutive observations are further apart than the threshold
     split = np.diff(grid[obs]) * GRID_MINUTES > partition_gap_minutes
     bounds = zip(obs[np.append(True, split)], obs[np.append(split, True)] + 1)
+    del obs, split  # freed before the episodes are allocated, so they fill the space
     episodes = []
     for episode_id, (lo, hi) in enumerate(bounds):
         t = (grid[lo:hi] - grid[lo]).astype(np.intp)

@@ -30,6 +30,7 @@ import json
 import os
 import sys
 from contextlib import suppress
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +44,20 @@ except ImportError:  # an interpreter built without the module
     from hashlib import blake2b
 
 SCHEMA_VERSION = 1
+JSON_BATCH = 4096  # encoder chunks joined per write: fewer calls than one each, little held
 
 
 def write_json(path, doc: dict) -> None:
-    """Write doc as a versioned JSON document, ``schema_version`` first."""
-    doc = {"schema_version": SCHEMA_VERSION, **doc}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    """Write doc as a versioned JSON document, ``schema_version`` first.
+
+    The bytes are ``json.dumps(doc, indent=2)`` and a newline, encoded and
+    written JSON_BATCH chunks at a time, so the whole text is never held.
+    """
+    chunks = json.JSONEncoder(indent=2).iterencode({"schema_version": SCHEMA_VERSION, **doc})
+    with Path(path).open("w") as fh:
+        for batch in iter(lambda: list(islice(chunks, JSON_BATCH)), []):
+            fh.write("".join(batch))
+        fh.write("\n")
 
 
 def read_json(path, error=ParseError) -> dict:

@@ -66,6 +66,11 @@ def _validate(config: SynthConfig) -> tuple[int | None, int | None]:
     """
     if config.days < 1:
         raise ConfigError("days must be >= 1")
+    # the CGM readers strip the id and the TCR reader does not, so only a stripped id
+    # reads back the same from both
+    if not config.patient_id or config.patient_id != config.patient_id.strip():
+        raise ConfigError("patient_id must be non-empty, with no leading or trailing "
+                          f"whitespace, got {config.patient_id!r}")
     if not 70.0 <= config.baseline <= 140.0:
         raise ConfigError("baseline must lie in the euglycemic band [70, 140]")
     for name in ("meal_carbs", "peak_amplitude", "hypo_depth", "noise_std"):
@@ -114,12 +119,12 @@ def _drift(tt: np.ndarray, amplitude: float, period: int) -> np.ndarray:
     return amplitude * tri / period
 
 
-def generate(config: SynthConfig) -> SynthResult:
-    """Build one Episode per day plus TCR metadata and per-sample regime labels."""
-    meal, center = _validate(config)
-    rng = np.random.default_rng(config.seed)
-    tt = np.arange(SAMPLES_PER_DAY, dtype=float) * 5.0
+@np.errstate(over="raise", invalid="raise")
+def _day(config: SynthConfig, meal: int | None, center: int | None, tt: np.ndarray):
+    """The noise-free day at minutes tt: glucose, regime labels and the TCR span (or None).
 
+    An overflow raises FloatingPointError instead of leaving an inf or NaN.
+    """
     drift = _drift(tt, config.drift_amplitude, config.drift_period)
     signal = config.baseline + drift
     labels = np.full(SAMPLES_PER_DAY, LABEL_STATIONARY, dtype=np.int8)
@@ -145,6 +150,21 @@ def generate(config: SynthConfig) -> SynthResult:
         depth = center_level - (70.0 - config.hypo_depth)
         signal = signal - depth * _triangle(tt, center - HYPO_FALL, HYPO_FALL, HYPO_RISE)
         labels[(tt >= center - HYPO_FALL - 5) & (tt <= center + HYPO_RISE + 5)] = LABEL_HYPO
+    return signal, labels, tcr_span
+
+
+def generate(config: SynthConfig) -> SynthResult:
+    """Build one Episode per day plus TCR metadata and per-sample regime labels."""
+    meal, center = _validate(config)
+    rng = np.random.default_rng(config.seed)
+    tt = np.arange(SAMPLES_PER_DAY, dtype=float) * 5.0
+
+    try:
+        signal, labels, tcr_span = _day(config, meal, center, tt)
+    except FloatingPointError:
+        # with no drift the day stays finite for any config _validate accepts
+        raise ConfigError(f"drift_amplitude {config.drift_amplitude!r} is too large: "
+                          "the synthetic day overflows") from None
 
     carbs = np.zeros(SAMPLES_PER_DAY)
     bolus = np.zeros(SAMPLES_PER_DAY)

@@ -1,6 +1,8 @@
+import zlib
+
 import pytest
 
-from regime_bench import masks, missingness, synth
+from regime_bench import core, masks, missingness, synth
 
 # hand-built gap process used to stress the estimation and generation pipeline
 INJECTED_ONSET = (
@@ -40,6 +42,23 @@ def private_read_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
         yield
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda rows: f"merge_rows={rows}")
+def small_chunks(request, monkeypatch):
+    """Merge ingested rows into grid cells one to three rows at a time, so every file
+    crosses chunk cuts; the test files are far smaller than one chunk of MERGE_ROWS."""
+    monkeypatch.setattr(core, "MERGE_ROWS", request.param)
+    return request.param
+
+
+@pytest.fixture
+def a_small_chunk(request, monkeypatch):
+    """small_chunks for suites too slow to run three times: one of the three sizes per test,
+    picked from its name, so that each size runs on about a third of the suite's cases."""
+    rows = 1 + zlib.crc32(request.node.name.encode()) % 3
+    monkeypatch.setattr(core, "MERGE_ROWS", rows)
+    return rows
 
 
 @pytest.fixture(scope="session")

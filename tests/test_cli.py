@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1229,6 +1230,60 @@ class TestSynthRejectsUnusableNumbers:
         assert run("synth", "--days", 1, option, value, "--out", out) == 1
         assert capsys.readouterr().err == f"error: {detail}\n"
         assert not out.exists()
+
+
+class TestSynthRejectsIdsNoReaderKeeps:
+    """The CGM readers strip the patient id and the TCR reader does not: synth writes only
+    an id that reads back the same from both."""
+
+    @pytest.mark.parametrize("patient_id", ["", " ", " p", "p\t", "\x0cp"])
+    def test_error_names_the_field(self, tmp_path, capsys, patient_id):
+        out = tmp_path / "fx"
+        assert run("synth", "--days", 2, "--hypo-depth", 12, "--patient-id", patient_id,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: patient_id must be non-empty, with no leading or trailing whitespace, "
+            f"got {patient_id!r}\n")
+        assert not out.exists()
+
+    def test_inner_space_reads_back_through_protocol_c(self, tmp_path, capsys):
+        assert run("synth", "--days", 2, "--hypo-depth", 12, "--patient-id", "p 1",
+                   "--out", tmp_path / "fx") == 0
+        assert run("stress", "--input", tmp_path / "fx" / "cgm.csv", "--protocol", "C",
+                   "--tcr", tmp_path / "fx" / "tcr.csv", "--seed", 1,
+                   "--out", tmp_path / "C") == 0
+
+
+class TestSynthOverflow:
+    @pytest.mark.parametrize("extra", [[], ["--hypo-depth", 10]], ids=["drift", "drift and dip"])
+    def test_one_error_line_and_no_warning(self, tmp_path, capsys, extra):
+        out = tmp_path / "fx"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # pytest captures warnings apart from stderr
+            assert run("synth", "--days", 1, "--drift-amplitude", "1e308", *extra,
+                       "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: drift_amplitude 1e+308 is too large: the synthetic day overflows\n")
+        assert not out.exists()
+
+    def test_stderr_of_the_command(self, tmp_path):
+        """The whole stderr of a fresh process: one line, and no numpy RuntimeWarning."""
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        argv = ["synth", "--days", "1", "--drift-amplitude", "1e308", "--hypo-depth", "10",
+                "--out", str(tmp_path / "fx")]
+        code = f"import sys; from regime_bench.cli import main; sys.exit(main({argv!r}))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: drift_amplitude 1e+308 is too large: the synthetic day overflows\n")
+
+    def test_a_dip_that_overflows_names_the_drift(self, tmp_path, capsys):
+        assert run("synth", "--days", 1, "--drift-amplitude", "3e305", "--hypo-depth", "1.797e308",
+                   "--out", tmp_path / "fx") == 1
+        assert capsys.readouterr().err == (
+            "error: drift_amplitude 3e+305 is too large: the synthetic day overflows\n")
 
 
 class TestFitNeedsOneSustainedGap:

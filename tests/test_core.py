@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_episode
+from regime_bench import core, formats
 from regime_bench.core import (
     INPUT_HEADER,
     Episode,
@@ -244,13 +245,15 @@ class TestIngestOracle:
             parsed.append((patient, seconds / 60, glucose, carbs, bolus, basal))
         path = tmp_path_factory.mktemp("oracle") / "in.csv"
         path.write_text(CGM_LINE + "\n" + "\n".join(lines) + "\n")
-        episodes = ingest_csv(path, threshold)
-        expected = _oracle_episodes(parsed, threshold)
-        assert len(episodes) == len(expected)
-        for ep, (patient, episode_id, start, values) in zip(episodes, expected):
-            assert (ep.patient_id, ep.episode_id, ep.start_minute) == (patient, episode_id, start)
-            assert np.array_equal(ep.glucose, [v[0] for v in values], equal_nan=True)
-            assert np.array_equal(ep.exog, [v[1:] for v in values])
+        assert_matches_oracle(ingest_csv(path, threshold), _oracle_episodes(parsed, threshold))
+
+
+def assert_matches_oracle(episodes, expected):
+    assert len(episodes) == len(expected)
+    for ep, (patient, episode_id, start, values) in zip(episodes, expected):
+        assert (ep.patient_id, ep.episode_id, ep.start_minute) == (patient, episode_id, start)
+        assert np.array_equal(ep.glucose, [v[0] for v in values], equal_nan=True)
+        assert np.array_equal(ep.exog, [v[1:] for v in values])
 
 
 class TestExportRoundTrip:
@@ -286,6 +289,60 @@ class TestExportRoundTrip:
             boundaries.append((ep.start_minute, ep.start_minute + 5 * (ep.T - 1)))
         for (_, prev_end), (next_start, _) in zip(boundaries, boundaries[1:]):
             assert next_start - prev_end > threshold
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestIngestOracleInSmallChunks(TestIngestOracle):
+    """The oracle again, with rows merged into grid cells one to three at a time."""
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestExportRoundTripInSmallChunks(TestExportRoundTrip):
+    """The round trip again, with rows merged into grid cells one to three at a time."""
+
+
+class TestChunkCuts:
+    """Layouts where a chunk of one to three rows is cut next to what the merge must keep whole.
+
+    Minutes 3 to 7 all snap to grid minute 5, and 398 to 402 to grid minute 400.
+    """
+
+    CASES = {
+        "collision across a cut": [
+            "p1,0,100.0,0.0,0.0,1.0", "p1,3,101.0,5.0,0.5,0.0", "p1,5,,7.0,0.0,2.0",
+            "p1,7,103.0,0.0,1.5,0.0", "p1,10,104.0,0.0,0.0,0.0",
+        ],
+        "cell longer than a chunk": [
+            "p1,0,100.0,0.0,0.0,0.0",
+            *(f"p1,{m},{100 + m}.0,1.0,0.25,{m % 2}.0" for m in (3, 3, 4, 5, 6, 7, 7)),
+            "p1,10,120.0,0.0,0.0,0.0",
+        ],
+        "patient split across two runs": [
+            "pA,0,100.0,1.0,0.0,0.0", "pA,5,101.0,0.0,0.0,1.0", "pB,0,90.0,0.0,0.0,0.0",
+            "pB,5,91.0,0.0,0.0,0.0", "pA,6,,2.0,0.5,0.0", "pA,10,103.0,0.0,0.0,0.0",
+        ],
+        "event-only rows between episodes": [
+            "p1,0,,3.0,0.0,0.0", "p1,0,100.0,0.0,0.0,1.0", "p1,5,101.0,0.0,0.0,0.0",
+            "p1,100,,20.0,1.0,0.0", "p1,200,,0.0,0.0,0.5", "p1,398,,10.0,0.0,0.0",
+            "p1,400,110.0,0.0,0.0,0.0", "p1,405,111.0,0.0,0.0,0.0", "p1,500,,4.0,0.0,0.0",
+        ],
+    }
+
+    @pytest.mark.parametrize("reader", ["columns", "rows"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_oracle(self, tmp_path, monkeypatch, small_chunks, case, reader):
+        lines = self.CASES[case]
+        path = write_csv(tmp_path, lines)
+        if reader == "rows":
+            monkeypatch.setattr(formats, "read_columns", lambda *args: None)
+        else:
+            assert core._read_columns(path) is not None
+        parsed = []
+        for line in lines:
+            patient, minute, glucose, carbs, bolus, basal = line.split(",")
+            parsed.append((patient, float(minute), float(glucose) if glucose else None,
+                           float(carbs), float(bolus), float(basal)))
+        assert_matches_oracle(ingest_csv(path, 30), _oracle_episodes(parsed, 30))
 
 
 class TestTimeEncoding:

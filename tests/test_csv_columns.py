@@ -178,6 +178,11 @@ class TestCgmColumnsAgainstRows:
             assert core._read_columns(path) is not None
 
 
+@pytest.mark.usefixtures("a_small_chunk")
+class TestCgmColumnsAgainstRowsInSmallChunks(TestCgmColumnsAgainstRows):
+    """Both paths again, with rows merged into grid cells one to three at a time."""
+
+
 @st.composite
 def external_cases(draw):
     """Episodes with masks, and imputations that echo every retained value."""
@@ -300,6 +305,11 @@ class TestOwnFilesTakeTheColumnPath:
         assert loaded is not None and len(loaded) == len(pairs)
         with row_path():
             assert same_imputations(loaded, imputers.load_external(paths[name], pairs))
+
+
+@pytest.mark.usefixtures("a_small_chunk")
+class TestOwnFilesTakeTheColumnPathInSmallChunks(TestOwnFilesTakeTheColumnPath):
+    """The program's own files again, with rows merged into grid cells one to three at a time."""
 
 
 class TestColumnPathRaisesTheSharedChecks:
@@ -468,6 +478,27 @@ class TestColumnReaderMemory:
         assert same_episodes(episodes, expected) and same_episodes(again, expected)
         assert miss <= rows_peak + 2 * 2**20, (miss, rows_peak)
         assert hit <= rows_peak + 2 * 2**20, (hit, rows_peak)
+
+    def test_ingest_holds_the_table_and_one_merged_copy(self, tmp_path, monkeypatch):
+        """Ingest holds the table and the merged cells (five floats a row each), then the
+        cells and the episodes, plus one chunk's temporaries: about twice the table.
+
+        Merging the whole table at once held about 3.3 tables on this file.
+        """
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        path = tmp_path / "cgm.csv"
+        core.export_csv(synth.generate(synth.SynthConfig(days=200, noise_std=2.0, seed=3)).episodes,
+                        path)
+        table = 200 * 288 * 5 * 8
+        for read in ("miss", "hit"):
+            tracemalloc.start()
+            try:
+                episodes = core.ingest_csv(path, 240)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(episodes) == 200 and len(entries()) == 1
+            assert peak <= 2 * table + 3 * 2**19, (read, peak / table)
 
 
 class TestLineLongerThanTwoBlocks:
