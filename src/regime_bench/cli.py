@@ -89,26 +89,18 @@ def _load_imputed(paths, pairs):
 
 
 def cmd_synth(args) -> int:
+    import dataclasses
+
     from . import synth
 
-    try:
-        meal_times = tuple(int(v) for v in args.meal_times.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"--meal-times must be comma-separated integers, got {args.meal_times!r}")
-    config = synth.SynthConfig(
-        days=args.days,
-        baseline=args.baseline,
-        meal_times=meal_times,
-        meal_carbs=args.meal_carbs,
-        peak_amplitude=args.peak_amplitude,
-        hypo_depth=args.hypo_depth,
-        tcr_meal=args.tcr_meal,
-        drift_amplitude=args.drift_amplitude,
-        noise_std=args.noise_std,
-        patient_id=args.patient_id,
-        seed=args.seed,
-    )
-    result = synth.generate(config)
+    fields = {f.name for f in dataclasses.fields(synth.SynthConfig)}
+    given = {name: value for name, value in vars(args).items() if name in fields and value is not None}
+    if args.meal_times is not None:
+        try:
+            given["meal_times"] = tuple(int(v) for v in args.meal_times.split(",") if v.strip())
+        except ValueError:
+            raise ConfigError(f"--meal-times must be comma-separated integers, got {args.meal_times!r}")
+    result = synth.generate(synth.SynthConfig(**given))
     paths = synth.write_fixture(result, args.out)
     for name in ("cgm", "tcr", "labels"):
         print(paths[name])
@@ -357,7 +349,11 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_partition_gap(parser):
+def _add_truth_inputs(parser, masks=False, input_help=None):
+    """Declare --input, then --masks if asked, then --partition-gap."""
+    parser.add_argument("--input", required=True, help=input_help)
+    if masks:
+        parser.add_argument("--masks", required=True)
     parser.add_argument(
         "--partition-gap",
         type=int,
@@ -370,89 +366,80 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regime-bench",
         description="Regime-stratified stress-test harness for CGM imputation. "
-        "REGIME_BENCH_THREADS caps worker parallelism.",
+        "It runs single-threaded; REGIME_BENCH_THREADS, if set, must be a positive integer.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic fixture")
     p.add_argument("--days", type=int, required=True)
-    p.add_argument("--baseline", type=float, default=100.0)
-    p.add_argument("--meal-times", default="480,780,1140", help="comma-separated minutes of day")
-    p.add_argument("--meal-carbs", type=float, default=40.0)
-    p.add_argument("--peak-amplitude", type=float, default=80.0)
-    p.add_argument("--hypo-depth", type=float, default=0.0)
-    p.add_argument("--tcr-meal", type=int, default=0)
-    p.add_argument("--drift-amplitude", type=float, default=0.0)
-    p.add_argument("--noise-std", type=float, default=0.0)
-    p.add_argument("--patient-id", default="synth-001")
-    p.add_argument("--seed", type=int, default=0)
+    # no defaults here: cmd_synth passes only the flags that are set, so an unset one
+    # takes SynthConfig's default
+    p.add_argument("--baseline", type=float)
+    p.add_argument("--meal-times", help="comma-separated minutes of day")
+    p.add_argument("--meal-carbs", type=float)
+    p.add_argument("--peak-amplitude", type=float)
+    p.add_argument("--hypo-depth", type=float)
+    p.add_argument("--tcr-meal", type=int)
+    p.add_argument("--drift-amplitude", type=float)
+    p.add_argument("--noise-std", type=float)
+    p.add_argument("--patient-id")
+    p.add_argument("--seed", type=int)
     p.add_argument("--gap-model", help="missingness model JSON; also write cgm_gapped.csv")
     p.add_argument("--gap-seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fit", help="estimate the missingness model from gapped data")
-    p.add_argument("--input", required=True)
+    _add_truth_inputs(p)
     p.add_argument("--min-gaps", type=int, default=30)
-    _add_partition_gap(p)
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("mask", help="sample empirical masks for every episode")
-    p.add_argument("--input", required=True)
+    _add_truth_inputs(p)
     p.add_argument("--model", required=True)
     p.add_argument("--seed", type=int, required=True)
-    _add_partition_gap(p)
     p.add_argument("--out", required=True, help="masks JSON path")
     p.set_defaults(func=cmd_mask)
 
     p = sub.add_parser("stress", help="build protocol A/B/C evaluation masks")
-    p.add_argument("--input", required=True)
+    _add_truth_inputs(p)
     p.add_argument("--protocol", choices=("A", "B", "C"), required=True)
     p.add_argument("--ratio", type=float, default=0.1)
     p.add_argument("--n-peaks", type=int, default=1)
     p.add_argument("--hypo-window-min", type=int, default=60)
     p.add_argument("--tcr", help="TCR metadata CSV (protocol C)")
     p.add_argument("--seed", type=int, required=True)
-    _add_partition_gap(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_stress)
 
     p = sub.add_parser("impute", help="run a baseline or attach external imputations")
-    p.add_argument("--input", required=True)
-    p.add_argument("--masks", required=True)
+    _add_truth_inputs(p, masks=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--method", choices=IMPUTE_METHODS)
     group.add_argument("--external", help="external imputation CSV")
-    _add_partition_gap(p)
     p.add_argument("--out", required=True, help="imputed CSV path")
     p.set_defaults(func=cmd_impute)
 
     p = sub.add_parser("evaluate", help="score imputations and render the results table")
-    p.add_argument("--input", required=True, help="ground-truth CGM CSV")
+    _add_truth_inputs(p, masks=True, input_help="ground-truth CGM CSV")
     p.add_argument("--imputed", action="append", required=True)
-    p.add_argument("--masks", required=True)
     p.add_argument("--windows", help="windows JSON, checked against --masks")
-    _add_partition_gap(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("calibrate", help="conditional distribution summaries")
-    p.add_argument("--input", required=True)
+    _add_truth_inputs(p, masks=True)
     p.add_argument("--imputed", action="append", required=True)
-    p.add_argument("--masks", required=True)
     p.add_argument("--filter", choices=sorted(_CAL_FILTERS), default="all")
-    _add_partition_gap(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("route", help="adaptive imputation: Lerp vs external per gap")
-    p.add_argument("--input", required=True)
-    p.add_argument("--masks", required=True)
+    _add_truth_inputs(p, masks=True)
     p.add_argument("--external")
     p.add_argument("--gradient-threshold", type=float, default=0.6)
     p.add_argument("--context-min", type=int, default=30)
-    _add_partition_gap(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_route)
 

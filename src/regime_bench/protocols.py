@@ -229,9 +229,11 @@ def build_hypo_masks(
     episode: Episode, tcr_intervals, window_minutes: int = 60
 ) -> tuple[Mask, list[RegimeWindow]]:
     """Mask a window centered on the first hypoglycemic sample of each TCR interval."""
+    if window_minutes <= 0 or window_minutes % 5:
+        raise DimensionError(f"window_minutes must be a positive multiple of 5, got {window_minutes}")
     if not episode.fully_observed():
         raise IntegrityError("hypoglycemia masking requires complete glucose")
-    length = max(1, round(window_minutes / 5))
+    length = window_minutes // 5
     g = episode.glucose
     windows = []
     for ts, te in tcr_intervals:

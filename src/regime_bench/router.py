@@ -8,7 +8,7 @@ import numpy as np
 
 from . import formats
 from .core import Episode, bits_to_runs, split_mask
-from .errors import RoutingError
+from .errors import DimensionError, RoutingError
 from .imputers import Imputation, impute_lerp
 from .masks import Mask, masked_view
 from .protocols import StabilityCriteria, gradient_of
@@ -44,6 +44,8 @@ def classify_gap(
     gradients never bridge the gap itself. With no usable context the gap is
     conservatively transient.
     """
+    if context_minutes < 0:
+        raise DimensionError(f"context_minutes must be >= 0, got {context_minutes}")
     start, length = gap
     end = start + length
     n_ctx = max(1, context_minutes // 5)

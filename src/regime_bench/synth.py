@@ -182,7 +182,13 @@ def generate(config: SynthConfig) -> SynthResult:
     for day in range(config.days):
         glucose = signal.copy()
         if config.noise_std > 0:
-            glucose = glucose + rng.normal(0.0, config.noise_std, SAMPLES_PER_DAY)
+            # a draw past the float range is inf, with no warning, and the sum can overflow
+            # with one: check the trace instead of letting numpy warn
+            with np.errstate(over="ignore"):
+                glucose = glucose + rng.normal(0.0, config.noise_std, SAMPLES_PER_DAY)
+            if not np.isfinite(glucose).all():
+                raise ConfigError(f"noise_std {config.noise_std!r} is too large: "
+                                  "the noisy trace overflows")
         glucose = np.clip(glucose, 20.0, 500.0)
         episodes.append(
             Episode(

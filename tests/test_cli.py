@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -1331,3 +1332,84 @@ class TestSynthFixtureBytes:
                    "--out", tmp_path) == 0
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in self.DIGESTS} == self.DIGESTS
+
+
+class TestSynthNoiseOverflow:
+    """A noise_std whose draws leave the float range fails naming it, with no numpy warning."""
+
+    @pytest.mark.parametrize("extra", [[], ["--peak-amplitude", "1.7e308"]],
+                             ids=["noise", "noise on a peak"])
+    def test_stderr_of_the_command(self, tmp_path, extra):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "fx"
+        argv = ["synth", "--days", "1", "--noise-std", "1e308", *extra, "--out", str(out)]
+        code = f"import sys; from regime_bench.cli import main; sys.exit(main({argv!r}))"
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: noise_std 1e+308 is too large: the noisy trace overflows\n"
+        assert not out.exists()
+
+
+class TestHypoWindowMinutes:
+    @pytest.mark.parametrize("minutes", [-60, 0, 62])
+    def test_not_a_positive_multiple_of_5_rejected(self, protocol_fixture, tmp_path, capsys,
+                                                   minutes):
+        out = tmp_path / "C"
+        assert run("stress", "--input", protocol_fixture / "cgm.csv", "--protocol", "C",
+                   "--tcr", protocol_fixture / "tcr.csv", "--hypo-window-min", minutes,
+                   "--seed", 1, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: window_minutes must be a positive multiple of 5, got {minutes}\n")
+        assert not (out / "masks.json").exists()
+
+
+class TestRouteContextMinutes:
+    def test_negative_rejected(self, two_days, tmp_path, capsys):
+        stress_dir = tmp_path / "A"
+        assert run("stress", "--input", two_days / "cgm.csv", "--protocol", "A",
+                   "--ratio", 0.1, "--seed", 1, "--out", stress_dir) == 0
+        capsys.readouterr()
+        assert run("route", "--input", two_days / "cgm.csv", "--masks", stress_dir / "masks.json",
+                   "--context-min", -30, "--out", tmp_path / "route") == 1
+        assert capsys.readouterr().err == (
+            "error: context_minutes must be >= 0, got -30 for synth-001/0\n")
+
+
+SYNTH_FLAGS = ("baseline", "meal_times", "meal_carbs", "peak_amplitude", "hypo_depth",
+               "tcr_meal", "drift_amplitude", "noise_std", "patient_id", "seed")
+FIXTURE_FILES = ("cgm.csv", "tcr.csv", "labels.csv")
+
+
+def _fixture_bytes(out):
+    return {name: (out / name).read_bytes() for name in FIXTURE_FILES}
+
+
+@pytest.fixture(scope="module")
+def synth_unset(tmp_path_factory):
+    """The bytes of a 2-day synth run with every fixture flag left unset."""
+    out = tmp_path_factory.mktemp("synth-unset")
+    assert run("synth", "--days", 2, "--out", out) == 0
+    return _fixture_bytes(out)
+
+
+class TestSynthDefaultsLiveInSynthConfig:
+    """The CLI and the library build the same fixture: each default is SynthConfig's."""
+
+    def test_parser_leaves_each_flag_unset(self):
+        args = cli.build_parser().parse_args(["synth", "--days", "2", "--out", "fx"])
+        assert {name: getattr(args, name) for name in SYNTH_FLAGS} == dict.fromkeys(SYNTH_FLAGS)
+
+    def test_unset_flags_match_the_library(self, synth_unset, tmp_path):
+        synth.write_fixture(synth.generate(synth.SynthConfig(days=2)), tmp_path)
+        assert _fixture_bytes(tmp_path) == synth_unset
+
+    @pytest.mark.parametrize("name", SYNTH_FLAGS)
+    def test_flag_at_its_default_changes_no_byte(self, synth_unset, tmp_path, name):
+        default = {f.name: f.default for f in dataclasses.fields(synth.SynthConfig)}[name]
+        value = ",".join(map(str, default)) if name == "meal_times" else default
+        assert run("synth", "--days", 2, "--" + name.replace("_", "-"), value,
+                   "--out", tmp_path) == 0
+        assert _fixture_bytes(tmp_path) == synth_unset
