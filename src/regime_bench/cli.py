@@ -120,8 +120,8 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     from . import missingness
 
-    episodes = ingest_csv(args.input, args.partition_gap)
-    gaps, onset = missingness.fit_onsets(episodes)
+    # no name holds the episodes, so they are freed before fit_regimes imports scipy
+    gaps, onset = missingness.fit_onsets(ingest_csv(args.input, args.partition_gap))
     print("onset probabilities:", " ".join(f"{p:.4f}" for p in onset))
     try:
         model = missingness.fit_regimes(gaps, onset, min_gaps=args.min_gaps)
@@ -165,6 +165,8 @@ def _protocol_mask(args, ep, tcr_map):
 def cmd_stress(args) -> int:
     from . import masks, protocols
 
+    # before any input: only protocol C reaches build_hypo_masks, which checks it too
+    protocols.check_window_minutes(args.hypo_window_min)
     episodes = ingest_csv(args.input, args.partition_gap)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -315,6 +317,8 @@ def cmd_calibrate(args) -> int:
 def cmd_route(args) -> int:
     from . import imputers, protocols, router
 
+    # before any input: classify_gap, which checks it too, runs only when a mask hides a gap
+    router.check_context_minutes(args.context_min)
     _, pairs = _load_pairs(args)
     if args.external is not None:
         externals = imputers.load_external(args.external, pairs)

@@ -179,9 +179,8 @@ def ingest_csv(path, partition_gap_minutes: int) -> list[Episode]:
     rows = _read_columns(path)
     if rows is None:
         rows = _read_rows(path)
-    # each patient's rows are dropped as they are merged, so the table is gone before
-    # the first episode is built
-    cells = {patient: _merge_cells(rows.pop(patient)) for patient in sorted(rows)}
+    # each patient's rows are merged in place: the cells are the table's own memory
+    cells = {patient: _merge_cells(rows[patient]) for patient in sorted(rows)}
     episodes = []
     for patient, merged in cells.items():
         episodes += _partition(patient, merged, partition_gap_minutes)
@@ -262,14 +261,14 @@ def _merge_cells(rows: np.ndarray) -> np.ndarray:
     """One patient's (n, 5) (minute, glucose, carbs, bolus, basal) rows merged into grid cells.
 
     Returns (grid, glucose, carbs, bolus, basal) per cell that holds a row,
-    grid being the cell's index on the 5-minute grid. The rows are merged
-    MERGE_ROWS at a time into one preallocated array, each chunk cut where a
-    cell starts, so that no temporary spans all the rows.
+    grid being the cell's index on the 5-minute grid. The cells overwrite the
+    leading rows of rows, which must be writable, and the result is a view of
+    them. The rows are merged MERGE_ROWS at a time, each chunk cut where a
+    cell starts, so that no temporary spans all the rows. A chunk's cells are
+    no more than its rows, so they end before its first unread row, and each
+    column is written only once its merged values are computed from the chunk.
     """
     n = len(rows)
-    # one large block, returned to the system whole when freed; a separate grid array
-    # would be small enough to sit in the heap under the episodes built after it
-    cells = np.empty((n, 5))
     lo, filled, size = 0, 0, MERGE_ROWS
     while lo < n:
         hi = min(lo + size, n)
@@ -287,7 +286,7 @@ def _merge_cells(rows: np.ndarray) -> np.ndarray:
             hi, grid, first = lo + cut, grid[:cut], first[:cut]
         cell = np.cumsum(first) - 1
         _, glucose, carbs, bolus, basal = rows[lo:hi].T
-        out = cells[filled : filled + cell[-1] + 1]
+        out = rows[filled : filled + cell[-1] + 1]
         out[:, 0] = grid[first]
         # a later reading wins a collision, events accumulate, a later non-zero basal wins
         out[:, 1] = _last_per_cell(cell, glucose, ~np.isnan(glucose), np.nan)
@@ -295,7 +294,7 @@ def _merge_cells(rows: np.ndarray) -> np.ndarray:
         out[:, 3] = np.bincount(cell, bolus)
         out[:, 4] = _last_per_cell(cell, basal, basal != 0, 0.0)
         lo, filled, size = hi, filled + len(out), MERGE_ROWS
-    return cells[:filled]
+    return rows[:filled]
 
 
 def _partition(patient: str, cells: np.ndarray, partition_gap_minutes: int) -> list[Episode]:

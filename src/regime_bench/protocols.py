@@ -225,12 +225,17 @@ def build_peak_masks(
     return Mask(bits, seed=seed, provenance="protocol_B"), windows
 
 
+def check_window_minutes(window_minutes: int) -> None:
+    """Raise DimensionError unless window_minutes is a positive multiple of 5."""
+    if window_minutes <= 0 or window_minutes % 5:
+        raise DimensionError(f"window_minutes must be a positive multiple of 5, got {window_minutes}")
+
+
 def build_hypo_masks(
     episode: Episode, tcr_intervals, window_minutes: int = 60
 ) -> tuple[Mask, list[RegimeWindow]]:
     """Mask a window centered on the first hypoglycemic sample of each TCR interval."""
-    if window_minutes <= 0 or window_minutes % 5:
-        raise DimensionError(f"window_minutes must be a positive multiple of 5, got {window_minutes}")
+    check_window_minutes(window_minutes)
     if not episode.fully_observed():
         raise IntegrityError("hypoglycemia masking requires complete glucose")
     length = window_minutes // 5

@@ -32,6 +32,12 @@ def _context(episode: Episode, outward: np.ndarray) -> np.ndarray:
     return episode.glucose[outward[: kept.size if kept.all() else int(kept.argmin())]]
 
 
+def check_context_minutes(context_minutes: int) -> None:
+    """Raise DimensionError unless context_minutes >= 0."""
+    if context_minutes < 0:
+        raise DimensionError(f"context_minutes must be >= 0, got {context_minutes}")
+
+
 def classify_gap(
     episode: Episode,
     gap: tuple[int, int],
@@ -44,8 +50,7 @@ def classify_gap(
     gradients never bridge the gap itself. With no usable context the gap is
     conservatively transient.
     """
-    if context_minutes < 0:
-        raise DimensionError(f"context_minutes must be >= 0, got {context_minutes}")
+    check_context_minutes(context_minutes)
     start, length = gap
     end = start + length
     n_ctx = max(1, context_minutes // 5)

@@ -743,6 +743,30 @@ class TestScipyLoadedOnlyWhereCalled:
         assert (tmp_path / "eval" / "report.json").exists()
 
 
+class TestFitDropsTheCorpusBeforeScipy:
+    def test_no_episode_is_alive_when_scipy_optimize_loads(self, tmp_path):
+        """scipy's import reuses the corpus's freed memory only if no name still holds it."""
+        model = tmp_path / "bootstrap.json"
+        missingness.save_model(build_injected_model(), model)
+        assert run("synth", "--days", 8, "--hypo-depth", 12, "--noise-std", 1.0, "--seed", 3,
+                   "--gap-model", model, "--gap-seed", 5, "--out", tmp_path) == 0
+        argv = ["fit", "--input", str(tmp_path / "cgm_gapped.csv"), "--min-gaps", "1",
+                "--out", str(tmp_path / "model.json")]
+        code = (
+            "import gc, sys\n"
+            "from regime_bench import cli, core\n"
+            "alive = []\n"
+            "class Probe:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'scipy.optimize' and not alive:\n"
+            "            alive.append(sum(isinstance(o, core.Episode) for o in gc.get_objects()))\n"
+            "sys.meta_path.insert(0, Probe())\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(alive)"
+        )
+        assert _last_line_of(code) == "[0]"
+
+
 # the variables OpenBLAS reads for its thread count
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -1365,6 +1389,15 @@ class TestHypoWindowMinutes:
             f"error: window_minutes must be a positive multiple of 5, got {minutes}\n")
         assert not (out / "masks.json").exists()
 
+    @pytest.mark.parametrize("protocol", ["A", "B"])
+    def test_checked_for_every_protocol(self, protocol_fixture, tmp_path, capsys, protocol):
+        out = tmp_path / protocol
+        assert run("stress", "--input", protocol_fixture / "cgm.csv", "--protocol", protocol,
+                   "--hypo-window-min", -5, "--seed", 1, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: window_minutes must be a positive multiple of 5, got -5\n")
+        assert not out.exists()
+
 
 class TestRouteContextMinutes:
     def test_negative_rejected(self, two_days, tmp_path, capsys):
@@ -1374,8 +1407,18 @@ class TestRouteContextMinutes:
         capsys.readouterr()
         assert run("route", "--input", two_days / "cgm.csv", "--masks", stress_dir / "masks.json",
                    "--context-min", -30, "--out", tmp_path / "route") == 1
-        assert capsys.readouterr().err == (
-            "error: context_minutes must be >= 0, got -30 for synth-001/0\n")
+        assert capsys.readouterr().err == "error: context_minutes must be >= 0, got -30\n"
+
+    def test_negative_rejected_when_the_masks_hide_nothing(self, two_days, tmp_path, capsys):
+        stress_dir = tmp_path / "A"
+        assert run("stress", "--input", two_days / "cgm.csv", "--protocol", "A",
+                   "--ratio", 0.001, "--seed", 1, "--out", stress_dir) == 0
+        assert "start_index" not in (stress_dir / "masks.json").read_text()  # no gaps
+        capsys.readouterr()
+        assert run("route", "--input", two_days / "cgm.csv", "--masks", stress_dir / "masks.json",
+                   "--context-min", -30, "--out", tmp_path / "route") == 1
+        assert capsys.readouterr().err == "error: context_minutes must be >= 0, got -30\n"
+        assert not (tmp_path / "route").exists()
 
 
 SYNTH_FLAGS = ("baseline", "meal_times", "meal_carbs", "peak_amplitude", "hypo_depth",

@@ -500,6 +500,25 @@ class TestColumnReaderMemory:
             assert len(episodes) == 200 and len(entries()) == 1
             assert peak <= 2 * table + 3 * 2**19, (read, peak / table)
 
+    def test_ingest_peak_is_the_table_and_the_episodes(self, tmp_path, monkeypatch):
+        """The cells are merged into the table itself: ingest peaks at the table, the
+        episodes' arrays and one chunk's temporaries, with no second table beside them."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        path = tmp_path / "cgm.csv"
+        core.export_csv(synth.generate(synth.SynthConfig(days=200, noise_std=2.0, seed=3)).episodes,
+                        path)
+        table = 200 * 288 * 5 * 8
+        for read in ("miss", "hit"):
+            tracemalloc.start()
+            try:
+                episodes = core.ingest_csv(path, 240)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(episodes) == 200 and len(entries()) == 1
+            arrays = sum(ep.glucose.nbytes + ep.exog.nbytes + ep.observed.nbytes for ep in episodes)
+            assert peak <= table + arrays + 2**19, (read, (peak - table - arrays) / 2**20)
+
 
 class TestLineLongerThanTwoBlocks:
     def test_declined_before_the_line_is_gathered(self, tmp_path, own_cache, capsys):
