@@ -3,8 +3,10 @@
 Each command runs in a fresh process, so each imports only the modules it
 runs: at module level this file imports just ``errors`` and ``core``, and
 every ``cmd_*`` (or the helper it calls) imports the rest. Only ``fit``
-loads scipy. ``ingest_csv`` and ``export_csv`` stay names of this module,
-looked up at call time, so that a caller can replace them here. Importing
+loads scipy. ``ingest_csv`` stays a name of this module, looked up at call
+time, so that a caller can replace it here. ``export_csv`` stays one as
+well, for callers that look it up here; ``synth`` calls it through its own
+module. Importing
 this module defaults OPENBLAS_NUM_THREADS to 1, so that no command starts
 a BLAS thread pool.
 """
@@ -21,7 +23,8 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .core import export_csv, ingest_csv, split_mask  # noqa: E402 - after the BLAS default
-from .errors import ConfigError, CoverageError, EstimationError, FitError, ParseError, RegimeBenchError
+from .errors import (ConfigError, CoverageError, EstimationError, FitError, IntegrityError, ParseError,
+                     RegimeBenchError)
 
 # the --method choices, kept here so that building the parser imports no imputers;
 # a test pins them to sorted(imputers.BUILTIN_IMPUTERS)
@@ -42,12 +45,14 @@ def _check_worker_cap() -> None:
 
 
 @contextmanager
-def _for_episode(key):
-    """Re-raise a harness error with `` for <patient_id>/<episode_id>`` appended."""
+def _for_episode(key, path=None, errors=RegimeBenchError):
+    """Re-raise a harness error, one of errors, with `` for <patient_id>/<episode_id>``
+    appended, and with ``<path>: `` put before it if path is given."""
     try:
         yield
-    except RegimeBenchError as exc:
-        raise type(exc)(f"{exc} for {key[0]}/{key[1]}") from exc
+    except errors as exc:
+        source = "" if path is None else f"{path}: "
+        raise type(exc)(f"{source}{exc} for {key[0]}/{key[1]}") from exc
 
 
 def _load_pairs(args):
@@ -101,19 +106,16 @@ def cmd_synth(args) -> int:
         except ValueError:
             raise ConfigError(f"--meal-times must be comma-separated integers, got {args.meal_times!r}")
     result = synth.generate(synth.SynthConfig(**given))
-    paths = synth.write_fixture(result, args.out)
-    for name in ("cgm", "tcr", "labels"):
-        print(paths[name])
+    gap_masks = None
     if args.gap_model is not None:
-        # additionally emit a realistically gapped copy, for fitting exercises
+        # a realistically gapped copy as well, for fitting exercises; its masks are drawn
+        # before any file is written, so that a bad model leaves --out as it was
         from . import masks, missingness
 
         model = missingness.load_model(args.gap_model)
-        samples = masks.sample_masks(result.episodes, model, args.gap_seed)
-        gapped = [masks.apply_mask(ep, mask) for ep, mask in zip(result.episodes, samples)]
-        gapped_path = Path(args.out) / "cgm_gapped.csv"
-        export_csv(gapped, gapped_path)
-        print(gapped_path)
+        gap_masks = masks.sample_masks(result.episodes, model, args.gap_seed)
+    for path in synth.write_fixture(result, args.out, gap_masks).values():
+        print(path)
     return 0
 
 
@@ -179,7 +181,9 @@ def cmd_stress(args) -> int:
     condition = _CONDITIONS[args.protocol].format(**vars(args))
     mask_entries, window_entries = [], []
     for ep in episodes:
-        mask, windows = _protocol_mask(args, ep, tcr_map)
+        # every protocol needs complete glucose; its IntegrityError names the input and episode
+        with _for_episode((ep.patient_id, ep.episode_id), args.input, IntegrityError):
+            mask, windows = _protocol_mask(args, ep, tcr_map)
         if args.protocol == "C" and not windows:
             continue  # protocol C masks only episodes with a hypoglycemic onset
         mask_entries.append((ep.patient_id, ep.episode_id, mask))

@@ -5,6 +5,7 @@ protocol windows."""
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -317,18 +318,56 @@ def _partition(patient: str, cells: np.ndarray, partition_gap_minutes: int) -> l
     return episodes
 
 
-def export_csv(episodes: list[Episode], path) -> None:
-    """Write episodes back to the standard CGM CSV (integer-minute timestamps)."""
-    episodes = sorted(episodes, key=lambda e: (e.patient_id, e.episode_id))
-    formats.write_lines(path, CGM_HEADER, map(_cgm_lines, episodes))
+def export_csv(episodes: list[Episode], path, gapped=None) -> None:
+    """Write episodes back to the standard CGM CSV (integer-minute timestamps).
+
+    gapped, if given, is (path, masks): one mask's retention bits per
+    episode, in the order of episodes, each paired with its episode as
+    split_mask pairs them. The episodes are then also written to that path
+    as the masks show them, glucose blank where a mask is 0, in the same
+    pass: each episode is formatted once for both files, and the text of
+    one episode is held at a time. Every pair is checked before either file
+    is opened; synth.write_fixture runs masks.apply_mask's checks first.
+    """
+    if gapped is None:
+        chunks = ("".join(_cgm_parts(ep)) for ep in sorted(episodes, key=_episode_key))
+        formats.write_lines(path, CGM_HEADER, chunks)
+        return
+    gapped_path, bits = gapped
+    pairs = sorted(zip(episodes, bits, strict=True), key=lambda pair: _episode_key(pair[0]))
+    hidden = [np.flatnonzero(~split_mask(keep, ep.observed)[0]).tolist() for ep, keep in pairs]
+    with formats.line_file(path, CGM_HEADER) as truth, \
+            formats.line_file(gapped_path, CGM_HEADER) as shown:
+        for (ep, _), blank in zip(pairs, hidden):
+            parts = _cgm_parts(ep)
+            truth.write("".join(parts))
+            for t in blank:
+                parts[5 * t + 3] = ""
+            shown.write("".join(parts))
 
 
-def _cgm_lines(ep: Episode) -> str:
-    minutes = range(ep.start_minute, ep.minute_at(ep.T), GRID_MINUTES)
-    glucose = ("" if math.isnan(g) else repr(g) for g in ep.glucose.tolist())
-    patient = formats.quote(ep.patient_id)
-    return "".join(f"{patient},{m},{g},{c!r},{b!r},{s!r}\r\n"
-                   for m, g, (c, b, s) in zip(minutes, glucose, ep.exog.tolist()))
+def _episode_key(ep: Episode) -> tuple[str, int]:
+    return ep.patient_id, ep.episode_id
+
+
+def _cgm_parts(ep: Episode) -> list[str]:
+    """One episode's CSV rows as a flat list of texts, five a row: the patient and a
+    comma, the minute, a comma, the glucose and the exogenous tail with the line end.
+
+    Row t's glucose is parts[5 * t + 3]: its repr, or "" where it is NaN.
+    """
+    T = ep.T
+    parts = [formats.quote(ep.patient_id) + ",", "", ",", "", ""] * T
+    parts[1::5] = map(str, range(ep.start_minute, ep.minute_at(T), GRID_MINUTES))
+    parts[3::5] = map(repr, ep.glucose.tolist())
+    for t in np.flatnonzero(np.isnan(ep.glucose)).tolist():
+        parts[5 * t + 3] = ""
+    # each distinct exogenous row is formatted once, looked up by its bytes, so that -0.0
+    # and every NaN keep their own text
+    rows = ep.exog.view("V24").ravel().tolist()  # three float64s a row
+    tails = {row: ",{!r},{!r},{!r}\r\n".format(*struct.unpack("=3d", row)) for row in set(rows)}
+    parts[4::5] = map(tails.__getitem__, rows)
+    return parts
 
 
 def time_encoding(t, start_time_of_day: int = 0) -> np.ndarray:

@@ -12,8 +12,9 @@ passes on reads ``<path>: line N: ...``, the ``csv`` module's own included.
 each record to the caller's ``parse``; every record error reads
 ``<path>: <list>[i]: ...``, and ``record_field`` checks a field's JSON type.
 
-Every CSV file is written through ``write_lines``, each id and method
-passed through ``quote``, byte for byte as the ``csv`` module writes it. The
+Every CSV file is written through ``write_lines``, or through ``line_file``
+where one pass fills two files, each id and method passed through
+``quote``, byte for byte as the ``csv`` module writes it. The
 large CSV files also have a column path: ``read_columns`` reads a file in
 canonical form block by block into arrays and declines anything else, ids
 that need quoting included. The caller's row reader reads what it declines,
@@ -29,7 +30,7 @@ import csv
 import json
 import os
 import sys
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from itertools import islice
 from pathlib import Path
 
@@ -170,14 +171,21 @@ def quote(text: str) -> str:
     return text if plain((text,)) else '"' + text.replace('"', '""') + '"'
 
 
+@contextmanager
+def line_file(path, header: list[str]):
+    """An open text file for CSV lines, its header row written; lines end in ``\\r\\n``."""
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        yield fh
+
+
 def write_lines(path, header: list[str], chunks) -> None:
     """Write the header row, then each chunk of lines formatted by the caller.
 
     Each line ends in ``\\r\\n``, as the csv module ends them; callers pass
     every text field through ``quote``, so the bytes equal the csv module's.
     """
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with line_file(path, header) as fh:
         fh.writelines(chunks)
 
 

@@ -177,12 +177,21 @@ def masked_view(episode: Episode, retained: np.ndarray) -> Episode:
                    episode.exog, retained)
 
 
-def apply_mask(episode: Episode, mask: Mask) -> Episode:
-    """Hide glucose where the mask is 0; the original episode keeps ground truth."""
+def retained_by(episode: Episode, mask: Mask) -> np.ndarray:
+    """The indices the mask retains, as booleans, once the mask is checked against the truth.
+
+    The mask must pair with the episode (core.split_mask) and hide only
+    observed indices, so that every index is retained or scored.
+    """
     retained, scored = split_mask(mask.bits, episode.observed)
     if not np.all(retained | scored):  # an index in neither set was never observed
         raise IntegrityError("mask hides indices that were never observed")
-    return masked_view(episode, retained)
+    return retained
+
+
+def apply_mask(episode: Episode, mask: Mask) -> Episode:
+    """Hide glucose where the mask is 0; the original episode keeps ground truth."""
+    return masked_view(episode, retained_by(episode, mask))
 
 
 def write_masks_json(entries, path, provenance: str = "empirical", condition: str | None = None):

@@ -207,24 +207,43 @@ def generate(config: SynthConfig) -> SynthResult:
 
 
 def write_labels_csv(result: SynthResult, path) -> None:
-    chunks = (
-        "".join(f"{episode_id},{t},{REGIME_NAMES[code]}\r\n"
-                for t, code in enumerate(result.labels[episode_id].tolist()))
-        for episode_id in sorted(result.labels)
-    )
-    formats.write_lines(path, ["episode_id", "t", "regime"], chunks)
+    longest = max(map(len, result.labels.values()), default=0)
+    heads = [f"{t}," for t in range(longest)]
+
+    def chunk(episode_id) -> str:
+        rows = map(str.__add__, heads, map(REGIME_NAMES.__getitem__,
+                                           result.labels[episode_id].tolist()))
+        # the separator ends one row and starts the next with the episode id
+        text = f"\r\n{episode_id},".join(rows)
+        return f"{episode_id},{text}\r\n" if text else ""
+
+    formats.write_lines(path, ["episode_id", "t", "regime"], map(chunk, sorted(result.labels)))
 
 
-def write_fixture(result: SynthResult, out_dir) -> dict[str, Path]:
-    """Write cgm.csv, tcr.csv and labels.csv into out_dir."""
+def write_fixture(result: SynthResult, out_dir, gap_masks=None) -> dict[str, Path]:
+    """Write cgm.csv, tcr.csv and labels.csv into out_dir; returns their paths in that order.
+
+    Given gap_masks, one mask per episode of result, also writes
+    cgm_gapped.csv, its path last: the episodes as masks.apply_mask shows
+    them. Each mask is checked as apply_mask checks it before any file is
+    written, and both CGM files are written in one pass.
+    """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
         "cgm": out_dir / "cgm.csv",
         "tcr": out_dir / "tcr.csv",
         "labels": out_dir / "labels.csv",
     }
-    export_csv(result.episodes, paths["cgm"])
+    gapped = None
+    if gap_masks is not None:
+        from . import masks
+
+        retained = [masks.retained_by(ep, mask)
+                    for ep, mask in zip(result.episodes, gap_masks, strict=True)]
+        paths["cgm_gapped"] = out_dir / "cgm_gapped.csv"
+        gapped = (paths["cgm_gapped"], retained)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    export_csv(result.episodes, paths["cgm"], gapped=gapped)
     write_tcr_csv(result.tcr, paths["tcr"])
     write_labels_csv(result, paths["labels"])
     return paths

@@ -1377,6 +1377,53 @@ class TestSynthNoiseOverflow:
         assert not out.exists()
 
 
+class TestSynthBadGapModel:
+    """The gap model is loaded and the masks drawn before any fixture file is written."""
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["empty out", "no out"])
+    def test_nothing_is_written(self, tmp_path, capsys, existing):
+        bad = tmp_path / "model.json"
+        missingness.save_model(build_injected_model(), bad)
+        doc = json.loads(bad.read_text())
+        doc["day"]["k"] = 0
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "fx"
+        if existing:
+            out.mkdir()
+        assert run("synth", "--days", 2, "--gap-model", bad, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}: day.k must be positive, got 0\n"
+        assert captured.out == ""
+        assert list(out.glob("*")) == [] and out.exists() == existing
+
+
+@pytest.fixture(scope="module")
+def gapped_fixture(tmp_path_factory):
+    """The 50-day seed-7 fixture and its gapped copy."""
+    root = tmp_path_factory.mktemp("cli-gapped-50")
+    model = root / "bootstrap.json"
+    missingness.save_model(build_injected_model(), model)
+    assert run("synth", "--days", 50, "--hypo-depth", 12, "--noise-std", 2, "--seed", 7,
+               "--gap-model", model, "--gap-seed", 7, "--out", root / "fx") == 0
+    return root / "fx"
+
+
+class TestStressNeedsCompleteGlucose:
+    @pytest.mark.parametrize("protocol, extra, check", [
+        ("A", [], "stable-window detection"),
+        ("B", [], "peak masking"),
+        ("C", ["--tcr", "tcr.csv"], "hypoglycemia masking"),
+    ], ids=["A", "B", "C"])
+    def test_error_names_the_input_and_the_episode(self, gapped_fixture, tmp_path, capsys,
+                                                   protocol, extra, check):
+        cgm = gapped_fixture / "cgm_gapped.csv"
+        extra = [gapped_fixture / arg if arg.endswith(".csv") else arg for arg in extra]
+        assert run("stress", "--input", cgm, "--protocol", protocol, *extra, "--seed", 3,
+                   "--out", tmp_path / protocol) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cgm}: {check} requires complete glucose for synth-001/0\n")
+
+
 class TestHypoWindowMinutes:
     @pytest.mark.parametrize("minutes", [-60, 0, 62])
     def test_not_a_positive_multiple_of_5_rejected(self, protocol_fixture, tmp_path, capsys,

@@ -373,6 +373,33 @@ def episode_lists(draw):
     return episodes
 
 
+@st.composite
+def masked_truth(draw):
+    """Complete-truth episodes under quoted and plain ids, in any key order, each with a
+    random mask; every mask may hide any index, since the truth observes them all."""
+    keys = draw(st.lists(st.tuples(_TEXT, st.integers(0, 10**6)), min_size=1, max_size=4,
+                         unique=True))
+    episodes, gap_masks = [], []
+    for patient, episode_id in keys:
+        T = draw(st.integers(1, 6))
+        glucose = draw(st.lists(st.one_of(st.floats(20.0, 500.0), st.sampled_from([20.0, 500.0])),
+                                min_size=T, max_size=T))
+        exog = np.array(draw(st.lists(_ANY_FLOAT, min_size=3 * T, max_size=3 * T))).reshape(T, 3)
+        start = 5 * draw(st.integers(-10**6, 10**6))
+        episodes.append(core.Episode(patient, episode_id, start, glucose, exog, np.ones(T)))
+        bits = draw(st.lists(st.integers(0, 1), min_size=T, max_size=T))
+        gap_masks.append(Mask(np.array(bits, dtype=np.uint8)))
+    return episodes, gap_masks
+
+
+_LABELS = st.dictionaries(
+    st.integers(0, 10**6),
+    st.lists(st.integers(0, len(synth.REGIME_NAMES) - 1), max_size=6)
+    .map(lambda codes: np.array(codes, dtype=np.int8)),
+    max_size=4,
+)
+
+
 class TestWritersMatchCsvWriter:
     @given(episodes=episode_lists())
     @settings(max_examples=100, deadline=None)
@@ -383,6 +410,20 @@ class TestWritersMatchCsvWriter:
         csv_writer_export_csv(episodes, root / "rows.csv")
         assert (root / "lines.csv").read_bytes() == (root / "rows.csv").read_bytes()
         assert lines.called
+
+    @given(case=masked_truth())
+    @settings(max_examples=100, deadline=None)
+    def test_export_csv_with_its_gapped_copy(self, tmp_path_factory, case):
+        """One pass writes the truth, and the gapped copy as apply_mask shows each episode."""
+        episodes, gap_masks = case
+        root = tmp_path_factory.mktemp("gapped")
+        retained = [masks.retained_by(ep, m) for ep, m in zip(episodes, gap_masks)]
+        core.export_csv(episodes, root / "truth.csv", gapped=(root / "gapped.csv", retained))
+        csv_writer_export_csv(episodes, root / "truth_rows.csv")
+        csv_writer_export_csv([masks.apply_mask(ep, m) for ep, m in zip(episodes, gap_masks)],
+                              root / "gapped_rows.csv")
+        assert (root / "truth.csv").read_bytes() == (root / "truth_rows.csv").read_bytes()
+        assert (root / "gapped.csv").read_bytes() == (root / "gapped_rows.csv").read_bytes()
 
     @given(
         refs=st.lists(st.tuples(_TEXT, st.integers(0, 10**6)), min_size=1, max_size=3, unique=True),
@@ -404,6 +445,15 @@ class TestWritersMatchCsvWriter:
         synth.write_labels_csv(result, tmp_path / "lines.csv")
         csv_writer_write_labels_csv(result, tmp_path / "rows.csv")
         assert (tmp_path / "lines.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @given(labels=_LABELS)
+    @settings(max_examples=100, deadline=None)
+    def test_write_labels_csv_any_labels(self, tmp_path_factory, labels):
+        root = tmp_path_factory.mktemp("labels")
+        result = synth.SynthResult([], [], labels)
+        synth.write_labels_csv(result, root / "lines.csv")
+        csv_writer_write_labels_csv(result, root / "rows.csv")
+        assert (root / "lines.csv").read_bytes() == (root / "rows.csv").read_bytes()
 
     @given(rows=st.lists(st.tuples(_TEXT, st.integers(0, 10**6), st.integers(0, 288),
                                    st.integers(0, 288)), min_size=1, max_size=5))
@@ -480,10 +530,13 @@ class TestColumnReaderMemory:
         assert hit <= rows_peak + 2 * 2**20, (hit, rows_peak)
 
     def test_ingest_holds_the_table_and_one_merged_copy(self, tmp_path, monkeypatch):
-        """Ingest holds the table and the merged cells (five floats a row each), then the
-        cells and the episodes, plus one chunk's temporaries: about twice the table.
+        """Ingest stays within twice the table (five floats a row) plus 1.5 MiB.
 
-        Merging the whole table at once held about 3.3 tables on this file.
+        The cells are merged into the table itself, so ingest holds the table, the
+        episodes' arrays (about 0.8 of a table) and one chunk's temporaries: about 1.9
+        tables, 4.2 MiB, on this file. The bound is the one set when the merge wrote a
+        second copy of the cells; test_ingest_peak_is_the_table_and_the_episodes pins the
+        tighter one. Merging the whole table at once held about 3.3 tables.
         """
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
         path = tmp_path / "cgm.csv"

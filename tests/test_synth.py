@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from regime_bench import core, protocols, synth
-from regime_bench.errors import ConfigError
+from conftest import build_injected_model
+from regime_bench import core, masks, protocols, synth
+from regime_bench.errors import ConfigError, DimensionError
 
 
 class TestGenerate:
@@ -116,3 +117,26 @@ class TestFixtureFiles:
         pb = synth.write_fixture(synth.generate(cfg), tmp_path / "b")
         for key in pa:
             assert pa[key].read_bytes() == pb[key].read_bytes()
+
+
+class TestGappedFixture:
+    """write_fixture with gap masks: cgm_gapped.csv is the episodes as apply_mask shows them."""
+
+    def test_gapped_copy_reads_back_as_apply_mask(self, tmp_path):
+        result = synth.generate(synth.SynthConfig(days=3, hypo_depth=12.0, noise_std=1.5, seed=9))
+        gap_masks = masks.sample_masks(result.episodes, build_injected_model(), 4)
+        paths = synth.write_fixture(result, tmp_path, gap_masks)
+        assert list(paths) == ["cgm", "tcr", "labels", "cgm_gapped"]
+        assert paths["cgm_gapped"] == tmp_path / "cgm_gapped.csv"
+        shown = [masks.apply_mask(ep, m) for ep, m in zip(result.episodes, gap_masks)]
+        core.export_csv(shown, tmp_path / "apply_mask.csv")
+        assert paths["cgm_gapped"].read_bytes() == (tmp_path / "apply_mask.csv").read_bytes()
+        plain = synth.write_fixture(result, tmp_path / "plain")
+        assert paths["cgm"].read_bytes() == plain["cgm"].read_bytes()
+
+    def test_bad_mask_writes_no_file(self, tmp_path):
+        result = synth.generate(synth.SynthConfig(days=2, seed=1))
+        gap_masks = [masks.Mask(np.ones(ep.T - 1, dtype=np.uint8)) for ep in result.episodes]
+        with pytest.raises(DimensionError, match="mask length 287 != episode length 288"):
+            synth.write_fixture(result, tmp_path / "fx", gap_masks)
+        assert not (tmp_path / "fx").exists()
