@@ -17,12 +17,14 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 # before numpy loads: no command's BLAS work needs a thread pool; an explicit setting wins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .core import export_csv, ingest_csv, split_mask  # noqa: E402 - after the BLAS default
+from .core import (  # noqa: E402 - after the BLAS default
+    EUGLYCEMIC_HIGH, EUGLYCEMIC_LOW, export_csv, ingest_csv, split_mask)
 from .errors import (ConfigError, CoverageError, EstimationError, FitError, IntegrityError, ParseError,
                      RegimeBenchError)
 
@@ -53,6 +55,20 @@ def _for_episode(key, path=None, errors=RegimeBenchError):
     except errors as exc:
         source = "" if path is None else f"{path}: "
         raise type(exc)(f"{source}{exc} for {key[0]}/{key[1]}") from exc
+
+
+def _write_outputs(out, files) -> None:
+    """Create the --out directory, then write each (name, write) pair as write(out / name)
+    and print that path.
+
+    Each command that writes a directory calls this last, once every input is
+    read and every output computed, so that a command that fails writes nothing.
+    """
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in files:
+        write(out / name)
+        print(out / name)
 
 
 def _load_pairs(args):
@@ -167,11 +183,12 @@ def _protocol_mask(args, ep, tcr_map):
 def cmd_stress(args) -> int:
     from . import masks, protocols
 
-    # before any input: only protocol C reaches build_hypo_masks, which checks it too
+    # before any input, for every protocol: the library checks each only in the protocol
+    # that uses it, once per episode
+    protocols.check_ratio(args.ratio)
+    protocols.check_n_peaks(args.n_peaks)
     protocols.check_window_minutes(args.hypo_window_min)
     episodes = ingest_csv(args.input, args.partition_gap)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tcr_map = None
     if args.protocol == "C":
         if args.tcr is None:
@@ -188,13 +205,12 @@ def cmd_stress(args) -> int:
             continue  # protocol C masks only episodes with a hypoglycemic onset
         mask_entries.append((ep.patient_id, ep.episode_id, mask))
         window_entries.extend((ep.patient_id, ep.episode_id, w) for w in windows)
-    provenance = f"protocol_{args.protocol}"
-    masks_path = out_dir / "masks.json"
-    windows_path = out_dir / "windows.json"
-    masks.write_masks_json(mask_entries, masks_path, provenance=provenance, condition=condition)
-    protocols.write_windows_json(window_entries, windows_path, protocol=args.protocol, condition=condition)
-    print(masks_path)
-    print(windows_path)
+    _write_outputs(args.out, [
+        ("masks.json", partial(masks.write_masks_json, mask_entries,
+                               provenance=f"protocol_{args.protocol}", condition=condition)),
+        ("windows.json", partial(protocols.write_windows_json, window_entries,
+                                 protocol=args.protocol, condition=condition)),
+    ])
     return 0
 
 
@@ -266,24 +282,20 @@ def cmd_evaluate(args) -> int:
         if skipped:
             print(f"evaluate: skipped {skipped} of {len(pairs)} episodes {reason}", file=sys.stderr)
     rows = metrics.aggregate(entries) if entries else []
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "report.json"
-    table_path = out_dir / "table.txt"
-    formats.write_json(report_path, {"groups": rows})
     table = metrics.render_table(rows)
-    table_path.write_text(table)
     print(table, end="")
-    print(report_path)
-    print(table_path)
+    _write_outputs(args.out, [
+        ("report.json", partial(formats.write_json, doc={"groups": rows})),
+        ("table.txt", partial(Path.write_text, data=table)),
+    ])
     return 0
 
 
 _CAL_FIELDS = ("n_points", "truth_mean", "truth_std", "imputed_mean", "imputed_std", "delta")
 _CAL_FILTERS = {
     "all": None,
-    "below-70": lambda y: y < 70.0,
-    "above-140": lambda y: y > 140.0,
+    "below-70": lambda y: y < EUGLYCEMIC_LOW,
+    "above-140": lambda y: y > EUGLYCEMIC_HIGH,
 }
 
 
@@ -294,27 +306,22 @@ def cmd_calibrate(args) -> int:
     if not pairs:
         raise CoverageError(f"{args.masks}: no mask records to calibrate")
     regime_filter = _CAL_FILTERS[args.filter]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    records = []
+    edges = metrics.HIST_EDGES
+    records, files = [], []
     for imputations in _load_imputed(args.imputed, pairs):
         method = imputations[0].method
         triples = [(ep.glucose, imp.values, mask) for (ep, mask), imp in zip(pairs, imputations)]
         summary = metrics.pooled_calibration(triples, regime_filter)
         moments = {name: getattr(summary, name) for name in _CAL_FIELDS}
         records.append({"model": method, "filter": args.filter, **moments})
-        hist_path = out_dir / f"calibration_{method}.csv"
-        edges = metrics.HIST_EDGES
         bins = zip(edges[:-1], edges[1:], summary.truth_hist, summary.imputed_hist)
-        formats.write_lines(
-            hist_path,
-            ["bin_left", "bin_right", "truth_count", "imputed_count"],
-            (f"{lo:g},{hi:g},{int(n_t)},{int(n_i)}\r\n" for lo, hi, n_t, n_i in bins),
-        )
-        print(hist_path)
-    summary_path = out_dir / "calibration.json"
-    formats.write_json(summary_path, {"summaries": records})
-    print(summary_path)
+        files.append((f"calibration_{method}.csv", partial(
+            formats.write_lines,
+            header=["bin_left", "bin_right", "truth_count", "imputed_count"],
+            chunks=(f"{lo:g},{hi:g},{int(n_t)},{int(n_i)}\r\n" for lo, hi, n_t, n_i in bins),
+        )))
+    files.append(("calibration.json", partial(formats.write_json, doc={"summaries": records})))
+    _write_outputs(args.out, files)
     return 0
 
 
@@ -329,8 +336,6 @@ def cmd_route(args) -> int:
     else:
         externals = [None] * len(pairs)
     criteria = protocols.StabilityCriteria(gradient_threshold=args.gradient_threshold)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     imputations, decision_entries = [], []
     for (ep, mask), external in zip(pairs, externals):
         with _for_episode((ep.patient_id, ep.episode_id)):
@@ -339,12 +344,10 @@ def cmd_route(args) -> int:
             )
         imputations.append(imputation)
         decision_entries.extend((ep.patient_id, ep.episode_id, d) for d in decisions)
-    routed_path = out_dir / "routed.csv"
-    routing_path = out_dir / "routing.json"
-    imputers.write_imputations_csv(imputations, routed_path)
-    router.write_routing_json(decision_entries, routing_path)
-    print(routed_path)
-    print(routing_path)
+    _write_outputs(args.out, [
+        ("routed.csv", partial(imputers.write_imputations_csv, imputations)),
+        ("routing.json", partial(router.write_routing_json, decision_entries)),
+    ])
     return 0
 
 

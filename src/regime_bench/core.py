@@ -18,8 +18,10 @@ from .errors import DimensionError, IntegrityError, OrderingError, ParseError
 
 GRID_MINUTES = 5
 SAMPLES_PER_DAY = 288
-GLUCOSE_MIN = 20.0
+GLUCOSE_MIN = 20.0  # the sensor range, mg/dL
 GLUCOSE_MAX = 500.0
+EUGLYCEMIC_LOW = 70.0  # the euglycemic band, mg/dL: below it is hypoglycemia
+EUGLYCEMIC_HIGH = 140.0
 
 CGM_HEADER = ["patient_id", "timestamp", "glucose", "carbs", "bolus", "basal"]
 INPUT_HEADER = ["t", "masked_glucose", "carbs", "bolus", "basal", "sin_t", "cos_t"]

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formats
-from .core import bits_to_runs, split_mask
+from .core import GLUCOSE_MAX, GLUCOSE_MIN, bits_to_runs, split_mask
 from .errors import MetricDomainError, ParseError
 from .masks import Mask
 
-HIST_EDGES = np.arange(20, 505, 5, dtype=float)  # 5 mg/dL bins over [20, 500)
+HIST_EDGES = np.arange(GLUCOSE_MIN, GLUCOSE_MAX + 5.0, 5.0)  # 5 mg/dL bins over the sensor range
 
 METRIC_FIELDS = ("rmse", "bias", "emp_se", "mard", "dtw")
 
@@ -141,8 +141,8 @@ def score_episode(truth, imputed, mask: Mask) -> MetricsReport:
 
 
 def _summarize(y: np.ndarray, y_hat: np.ndarray) -> CalibrationSummary:
-    truth_hist = np.histogram(np.clip(y, 20.0, 500.0), bins=HIST_EDGES)[0]
-    imputed_hist = np.histogram(np.clip(y_hat, 20.0, 500.0), bins=HIST_EDGES)[0]
+    truth_hist = np.histogram(np.clip(y, GLUCOSE_MIN, GLUCOSE_MAX), bins=HIST_EDGES)[0]
+    imputed_hist = np.histogram(np.clip(y_hat, GLUCOSE_MIN, GLUCOSE_MAX), bins=HIST_EDGES)[0]
     truth_mean = float(y.mean())
     imputed_mean = float(y_hat.mean())
     return CalibrationSummary(

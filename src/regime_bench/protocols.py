@@ -13,7 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import formats
-from .core import Episode, runs_to_bits
+from .core import EUGLYCEMIC_HIGH, EUGLYCEMIC_LOW, Episode, runs_to_bits
 from .errors import AllocationError, DimensionError, IntegrityError, ParseError, SelectionError
 from .masks import Mask, round5
 
@@ -26,8 +26,8 @@ POST_MEAL_SCAN = 48  # 4-hour peak scan
 class StabilityCriteria:
     """Thresholds for the five homeostatic-window criteria."""
 
-    glucose_low: float = 70.0
-    glucose_high: float = 140.0
+    glucose_low: float = EUGLYCEMIC_LOW
+    glucose_high: float = EUGLYCEMIC_HIGH
     gradient_threshold: float = 0.6  # mg/dL per minute
     gradient_quorum: float = 0.85
     washout_minutes: int = 60
@@ -127,6 +127,12 @@ def _runs(windows: list[RegimeWindow]) -> list[tuple[int, int]]:
     return [(w.start_index, w.end_index - w.start_index) for w in windows]
 
 
+def check_ratio(ratio: float) -> None:
+    """Raise AllocationError unless 0 < ratio < 1."""
+    if not 0.0 < ratio < 1.0:
+        raise AllocationError(f"ratio must be in (0, 1), got {ratio}")
+
+
 def allocate_stationary_mask(
     episode: Episode, windows: list[RegimeWindow], ratio: float, seed: int
 ) -> tuple[Mask, list[RegimeWindow]]:
@@ -139,8 +145,7 @@ def allocate_stationary_mask(
     selection can, and AllocationError names the episode and the ceiling.
     A target of 0 samples selects no window.
     """
-    if not 0.0 < ratio < 1.0:
-        raise AllocationError(f"ratio must be in (0, 1), got {ratio}")
+    check_ratio(ratio)
     T = episode.T
     target = int(np.floor(ratio * T + 0.5))
     n_full, residual = divmod(target, WINDOW_SAMPLES_A)
@@ -180,6 +185,12 @@ def aggregate_meals(episode: Episode) -> list[MealEvent]:
     return events
 
 
+def check_n_peaks(n_peaks: int) -> None:
+    """Raise SelectionError unless n_peaks >= 1."""
+    if n_peaks < 1:
+        raise SelectionError("n_peaks must be >= 1")
+
+
 def build_peak_masks(
     episode: Episode, n_peaks: int, seed: int
 ) -> tuple[Mask, list[RegimeWindow]]:
@@ -191,8 +202,7 @@ def build_peak_masks(
     """
     if not episode.fully_observed():
         raise IntegrityError("peak masking requires complete glucose")
-    if n_peaks < 1:
-        raise SelectionError("n_peaks must be >= 1")
+    check_n_peaks(n_peaks)
     rng = np.random.default_rng(seed)
     g = episode.glucose
     windows = []
@@ -244,7 +254,7 @@ def build_hypo_masks(
     for ts, te in tcr_intervals:
         ts = max(0, int(ts))
         te = min(episode.T, int(te))
-        below = np.flatnonzero(g[ts:te] < 70.0)
+        below = np.flatnonzero(g[ts:te] < EUGLYCEMIC_LOW)
         if below.size == 0:
             continue
         anchor = ts + int(below[0])

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .core import Episode, SAMPLES_PER_DAY, export_csv
+from .core import (EUGLYCEMIC_HIGH, EUGLYCEMIC_LOW, GLUCOSE_MAX, GLUCOSE_MIN, Episode,
+                   SAMPLES_PER_DAY, export_csv)
 from .errors import ConfigError
 from .protocols import write_tcr_csv
 
@@ -71,8 +72,9 @@ def _validate(config: SynthConfig) -> tuple[int | None, int | None]:
     if not config.patient_id or config.patient_id != config.patient_id.strip():
         raise ConfigError("patient_id must be non-empty, with no leading or trailing "
                           f"whitespace, got {config.patient_id!r}")
-    if not 70.0 <= config.baseline <= 140.0:
-        raise ConfigError("baseline must lie in the euglycemic band [70, 140]")
+    if not EUGLYCEMIC_LOW <= config.baseline <= EUGLYCEMIC_HIGH:
+        raise ConfigError("baseline must lie in the euglycemic band "
+                          f"[{EUGLYCEMIC_LOW:g}, {EUGLYCEMIC_HIGH:g}]")
     for name in ("meal_carbs", "peak_amplitude", "hypo_depth", "noise_std"):
         value = getattr(config, name)
         if not 0 <= value < math.inf:
@@ -147,7 +149,7 @@ def _day(config: SynthConfig, meal: int | None, center: int | None, tt: np.ndarr
         center_level = config.baseline + float(
             _drift(np.array([float(center)]), config.drift_amplitude, config.drift_period)[0]
         )
-        depth = center_level - (70.0 - config.hypo_depth)
+        depth = center_level - (EUGLYCEMIC_LOW - config.hypo_depth)
         signal = signal - depth * _triangle(tt, center - HYPO_FALL, HYPO_FALL, HYPO_RISE)
         labels[(tt >= center - HYPO_FALL - 5) & (tt <= center + HYPO_RISE + 5)] = LABEL_HYPO
     return signal, labels, tcr_span
@@ -189,7 +191,7 @@ def generate(config: SynthConfig) -> SynthResult:
             if not np.isfinite(glucose).all():
                 raise ConfigError(f"noise_std {config.noise_std!r} is too large: "
                                   "the noisy trace overflows")
-        glucose = np.clip(glucose, 20.0, 500.0)
+        glucose = np.clip(glucose, GLUCOSE_MIN, GLUCOSE_MAX)
         episodes.append(
             Episode(
                 config.patient_id,

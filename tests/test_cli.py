@@ -1503,3 +1503,113 @@ class TestSynthDefaultsLiveInSynthConfig:
         assert run("synth", "--days", 2, "--" + name.replace("_", "-"), value,
                    "--out", tmp_path) == 0
         assert _fixture_bytes(tmp_path) == synth_unset
+
+
+class TestFailingCommandWritesNothing:
+    """stress, evaluate, calibrate and route create --out only once every output is computed."""
+
+    def test_stress_on_gapped_truth(self, gapped_fixture, tmp_path, capsys):
+        cgm, out = gapped_fixture / "cgm_gapped.csv", tmp_path / "A"
+        assert run("stress", "--input", cgm, "--protocol", "A", "--seed", 3, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {cgm}: stable-window detection requires complete glucose for synth-001/0\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_route_without_external_on_a_transient_gap(self, protocol_fixture, tmp_path, capsys):
+        stress_dir, out = tmp_path / "B", tmp_path / "route"
+        assert run("stress", "--input", protocol_fixture / "cgm.csv", "--protocol", "B",
+                   "--n-peaks", 1, "--seed", 5, "--out", stress_dir) == 0
+        capsys.readouterr()
+        assert run("route", "--input", protocol_fixture / "cgm.csv",
+                   "--masks", stress_dir / "masks.json", "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: transient gap at index 97 (length 44) has no external "
+                                "source for synth-001/0\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "evaluate"])
+    def test_a_valid_then_an_invalid_imputed_file(self, pipeline, tmp_path, capsys, command):
+        bad, out = tmp_path / "bad.csv", tmp_path / "out"
+        bad.write_text(",".join(imputers.EXTERNAL_HEADER) + "\n")
+        assert run(command, "--input", pipeline["cgm"], "--masks", pipeline["masks"],
+                   "--imputed", pipeline["imputed"]["lerp"], "--imputed", bad, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}: expected exactly one method per file, found []\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def header_only(tmp_path_factory):
+    """A CGM file with no rows: ingest reads no episode, so no protocol checks an option."""
+    path = tmp_path_factory.mktemp("header-only") / "cgm.csv"
+    path.write_text(",".join(core.CGM_HEADER) + "\n")
+    return path
+
+
+STRESS_OPTION_CASES = [
+    ("--ratio", 7, "ratio must be in (0, 1), got 7.0"),
+    ("--ratio", 0, "ratio must be in (0, 1), got 0.0"),
+    ("--ratio", 1, "ratio must be in (0, 1), got 1.0"),
+    ("--ratio", "nan", "ratio must be in (0, 1), got nan"),
+    ("--n-peaks", 0, "n_peaks must be >= 1"),
+    ("--n-peaks", -3, "n_peaks must be >= 1"),
+]
+
+
+class TestStressOptionsCheckedFirst:
+    """--ratio and --n-peaks are checked for every protocol, before any input is read."""
+
+    @pytest.mark.parametrize("protocol", ["A", "B", "C"])
+    @pytest.mark.parametrize("option, value, detail", STRESS_OPTION_CASES)
+    def test_rejected_on_an_input_with_no_episode(self, header_only, tmp_path, capsys, protocol,
+                                                  option, value, detail):
+        out = tmp_path / protocol
+        assert run("stress", "--input", header_only, "--protocol", protocol, option, value,
+                   "--seed", 1, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {detail}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("protocol, option, value, detail", [
+        ("A", "--ratio", 7, "ratio must be in (0, 1), got 7.0"),
+        ("B", "--n-peaks", -3, "n_peaks must be >= 1"),
+    ])
+    def test_named_before_gapped_truth(self, gapped_fixture, tmp_path, capsys, protocol, option,
+                                       value, detail):
+        out = tmp_path / protocol
+        assert run("stress", "--input", gapped_fixture / "cgm_gapped.csv", "--protocol", protocol,
+                   option, value, "--seed", 3, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {detail}\n"
+        assert not out.exists()
+
+
+class TestFitPartitionGap:
+    @pytest.mark.parametrize("gap", [0, -5])
+    def test_not_positive_rejected(self, protocol_fixture, tmp_path, capsys, gap):
+        out = tmp_path / "model.json"
+        assert run("fit", "--input", protocol_fixture / "cgm.csv", "--partition-gap", gap,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == "error: partition_gap_minutes must be positive\n"
+        assert not out.exists()
+
+
+class TestSynthRejectsUnusableLayouts:
+    """synth rejects a day, meal or dip layout it cannot build, and writes nothing."""
+
+    @pytest.mark.parametrize("options, detail", [
+        (["--days", 0], "days must be >= 1"),
+        (["--days", 1, "--meal-times", 481], "meal time 481 must be a 5-min multiple in [0, 1440)"),
+        (["--days", 1, "--tcr-meal", 5], "tcr_meal must index into meal_times"),
+        (["--days", 1, "--meal-times", "", "--hypo-depth", 5],
+         "hypoglycemic dip needs a meal to anchor the TCR window"),
+        (["--days", 1, "--hypo-depth", 5, "--tcr-meal", 2],
+         "TCR window for the selected meal does not fit in the day"),
+    ], ids=["no days", "off-grid meal", "no such meal", "dip without meals", "late TCR window"])
+    def test_error_names_the_problem(self, tmp_path, capsys, options, detail):
+        out = tmp_path / "fx"
+        assert run("synth", *options, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {detail}\n"
+        assert not out.exists()

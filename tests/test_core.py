@@ -472,3 +472,22 @@ class TestEpisodeInvariants:
         ep = make_episode([100.0, 110.0])
         with pytest.raises(ValueError):
             ep.glucose[0] = 50.0
+
+
+class TestEpisodeShapeAndRange:
+    @pytest.mark.parametrize("glucose, exog, observed, error, message", [
+        ([], (0, 3), (0,), DimensionError, "episode needs a 1-D glucose vector with T >= 1"),
+        ([100.0, 101.0], (2, 2), (2,), DimensionError, r"exog must be \(2, 3\), got \(2, 2\)"),
+        ([100.0, 101.0], (2, 3), (3,), DimensionError, r"observed must be \(2,\), got \(3,\)"),
+        ([19.5, 100.0], (2, 3), (2,), IntegrityError,
+         r"glucose outside sensor range \[20, 500\] mg/dL"),
+        ([100.0, 500.5], (2, 3), (2,), IntegrityError,
+         r"glucose outside sensor range \[20, 500\] mg/dL"),
+    ], ids=["empty glucose", "exog shape", "observed shape", "below range", "above range"])
+    def test_rejected(self, glucose, exog, observed, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            Episode("p", 0, 0, np.array(glucose), np.zeros(exog), np.ones(observed, dtype=np.uint8))
+
+    def test_sensor_range_bounds_accepted(self):
+        ep = Episode("p", 0, 0, np.array([20.0, 500.0]), np.zeros((2, 3)), np.ones(2, dtype=np.uint8))
+        assert ep.glucose.tolist() == [20.0, 500.0]

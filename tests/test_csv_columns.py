@@ -780,3 +780,23 @@ class TestParsedOncePerContent:
         assert entries() == sorted([a, c])  # b, used least recently, went first
         d = read(3)
         assert entries() == sorted([c, d])
+
+
+class TestNoCacheWithoutAnAbsoluteBase:
+    def test_relative_xdg_cache_home_and_home_read_uncached(self, small_files, tmp_path,
+                                                           monkeypatch):
+        """With neither base absolute there is no cache: each read parses, and none is stored."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", "xdg")
+        monkeypatch.setenv("HOME", "home")
+        assert formats._cache_dir() is None
+        path = small_files["cgm"][0]
+        with row_path():
+            expected = core.ingest_csv(path, 240)
+        with counted_blocks() as blocks:
+            first = core.ingest_csv(path, 240)
+            parsed = blocks.call_count
+            again = core.ingest_csv(path, 240)
+        assert parsed > 0 and blocks.call_count == 2 * parsed  # the repeat parsed again
+        assert same_episodes(first, expected) and same_episodes(again, expected)
+        assert list(tmp_path.iterdir()) == []

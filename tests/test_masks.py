@@ -272,3 +272,13 @@ class TestSampleMasks:
                                         mk.derive_seed(7, ep.patient_id, ep.episode_id))
             assert np.array_equal(mask.bits, expected.bits)
             assert (mask.seed, mask.events) == (expected.seed, expected.events)
+
+
+class TestMaskInvariants:
+    def test_two_dimensional_bits_rejected(self):
+        with pytest.raises(DimensionError, match="^mask bits must be a 1-D vector with T >= 1$"):
+            Mask(np.ones((2, 3), dtype=np.uint8))
+
+    def test_unknown_provenance_rejected(self):
+        with pytest.raises(DimensionError, match="^unknown provenance 'protocol_Z'$"):
+            Mask(np.ones(3, dtype=np.uint8), provenance="protocol_Z")

@@ -419,3 +419,13 @@ class TestAggregate:
 
     def test_render_empty(self):
         assert mt.render_table([]) == "(no results)\n"
+
+
+class TestScoreEpisodeLengths:
+    @pytest.mark.parametrize("truth, imputed", [
+        ([100.0, 110.0], [100.0, 110.0]),
+        ([100.0, 110.0, 120.0, 130.0], [100.0, 110.0, 120.0]),
+    ], ids=["truth and imputed shorter", "truth longer than imputed"])
+    def test_length_other_than_the_mask_rejected(self, truth, imputed):
+        with pytest.raises(MetricDomainError, match="^truth, imputed and mask lengths must agree$"):
+            mt.score_episode(np.array(truth), np.array(imputed), mask_of([1, 0, 1]))

@@ -310,3 +310,22 @@ class TestDensityParity:
         values = mz.duration_histogram(durations)
         got = mz.fit_duration_density(mz.BIN_CENTERS, values)
         assert repr(got) == repr(closure_fit_duration_density(mz.BIN_CENTERS, values))
+
+
+class TestModelBuildingChecks:
+    def test_onset_probabilities_other_than_24_rejected(self):
+        regime = build_injected_model().day
+        with pytest.raises(EstimationError, match="^onset_prob must have 24 entries$"):
+            mz.MissingnessModel((0.05,) * 23, regime, regime)
+
+    def test_mixture_with_zero_total_mass_rejected(self):
+        with pytest.raises(FitError, match=r"^duration density has zero total mass on \[10, 240\]$"):
+            mz.make_mixture(0.0, 0.05, 0.0, 120.0, 15.0, 0.0)
+
+    @pytest.mark.parametrize("centers, values", [
+        ([15.0, 20.0, 25.0], [0.1, 0.2]),
+        ([], []),
+    ], ids=["misaligned", "empty"])
+    def test_duration_fit_needs_aligned_vectors(self, centers, values):
+        with pytest.raises(FitError, match="^centers and values must be aligned, non-empty vectors$"):
+            mz.fit_duration_density(np.array(centers), np.array(values))

@@ -528,3 +528,24 @@ class TestAllocationEdges:
         assert str(exc.value) == (
             "episode p9/4 has only 1 disjoint stable windows; achievable ratio <= 0.0208"
         )
+
+
+class TestOptionChecks:
+    """The checks stress runs up front are the ones the protocol functions run."""
+
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, 7.0, -0.5, float("nan")])
+    def test_ratio_outside_the_open_unit_interval(self, ratio):
+        ep = make_episode(np.full(288, 100.0))
+        message = f"^ratio must be in \\(0, 1\\), got {ratio}$"
+        with pytest.raises(AllocationError, match=message):
+            pr.check_ratio(ratio)
+        with pytest.raises(AllocationError, match=message):
+            pr.allocate_stationary_mask(ep, pr.find_stable_windows(ep), ratio, 1)
+
+    @pytest.mark.parametrize("n_peaks", [0, -3])
+    def test_n_peaks_below_one(self, n_peaks):
+        ep = synth.generate(synth.SynthConfig(days=1)).episodes[0]
+        with pytest.raises(SelectionError, match="^n_peaks must be >= 1$"):
+            pr.check_n_peaks(n_peaks)
+        with pytest.raises(SelectionError, match="^n_peaks must be >= 1$"):
+            pr.build_peak_masks(ep, n_peaks, 1)

@@ -140,3 +140,8 @@ class TestGappedFixture:
         with pytest.raises(DimensionError, match="mask length 287 != episode length 288"):
             synth.write_fixture(result, tmp_path / "fx", gap_masks)
         assert not (tmp_path / "fx").exists()
+
+
+def test_drift_period_must_be_positive():
+    with pytest.raises(ConfigError, match="^drift_period must be positive$"):
+        synth.generate(synth.SynthConfig(days=1, drift_period=0))
