@@ -8,12 +8,15 @@ time, so that a caller can replace it here. ``export_csv`` stays one as
 well, for callers that look it up here; ``synth`` calls it through its own
 module. Importing
 this module defaults OPENBLAS_NUM_THREADS to 1, so that no command starts
-a BLAS thread pool.
+a BLAS thread pool, and, when CPython's built-in hash modules are all
+present, marks OpenSSL's ``_hashlib`` unimportable, so that no command maps
+libcrypto: ``hashlib`` and ``hmac`` then use the built-in hashes.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import sys
 from contextlib import contextmanager
@@ -22,8 +25,15 @@ from pathlib import Path
 
 # before numpy loads: no command's BLAS work needs a thread pool; an explicit setting wins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# and none maps OpenSSL, megabytes of RSS: numpy.random (through secrets and hmac) and
+# derive_seed import hashlib, which then takes CPython's built-in hashes, the same digests.
+# Only when every one of them is there: hashlib logs a traceback for each one missing.
+_BUILTIN_HASHES = ("_md5", "_sha1", "_sha3", "_blake2",
+                   *(("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")))
+if all(importlib.util.find_spec(name) is not None for name in _BUILTIN_HASHES):
+    sys.modules.setdefault("_hashlib", None)
 
-from .core import (  # noqa: E402 - after the BLAS default
+from .core import (  # noqa: E402 - after the BLAS and hash defaults
     EUGLYCEMIC_HIGH, EUGLYCEMIC_LOW, export_csv, ingest_csv, split_mask)
 from .errors import (ConfigError, CoverageError, EstimationError, FitError, IntegrityError, ParseError,
                      RegimeBenchError)
@@ -57,15 +67,20 @@ def _for_episode(key, path=None, errors=RegimeBenchError):
         raise type(exc)(f"{source}{exc} for {key[0]}/{key[1]}") from exc
 
 
-def _write_outputs(out, files) -> None:
-    """Create the --out directory, then write each (name, write) pair as write(out / name)
-    and print that path.
+def _write_outputs(out, files, text="") -> None:
+    """Create the --out directory, print text, then write each (name, write) pair as
+    write(out / name) and print that path.
 
     Each command that writes a directory calls this last, once every input is
-    read and every output computed, so that a command that fails writes nothing.
+    read and every output computed, so that a command that fails writes nothing
+    and prints nothing to stdout.
     """
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the --out directory {out}: {exc.strerror}") from exc
+    print(text, end="")
     for name, write in files:
         write(out / name)
         print(out / name)
@@ -283,11 +298,10 @@ def cmd_evaluate(args) -> int:
             print(f"evaluate: skipped {skipped} of {len(pairs)} episodes {reason}", file=sys.stderr)
     rows = metrics.aggregate(entries) if entries else []
     table = metrics.render_table(rows)
-    print(table, end="")
     _write_outputs(args.out, [
         ("report.json", partial(formats.write_json, doc={"groups": rows})),
         ("table.txt", partial(Path.write_text, data=table)),
-    ])
+    ], text=table)
     return 0
 
 
@@ -328,8 +342,9 @@ def cmd_calibrate(args) -> int:
 def cmd_route(args) -> int:
     from . import imputers, protocols, router
 
-    # before any input: classify_gap, which checks it too, runs only when a mask hides a gap
+    # before any input: classify_gap, which checks both too, runs only when a mask hides a gap
     router.check_context_minutes(args.context_min)
+    router.check_gradient_threshold(args.gradient_threshold)
     _, pairs = _load_pairs(args)
     if args.external is not None:
         externals = imputers.load_external(args.external, pairs)

@@ -58,4 +58,4 @@ class MetricDomainError(RegimeBenchError):
 
 
 class ConfigError(RegimeBenchError):
-    """Invalid synthetic-fixture configuration."""
+    """Invalid configuration: a synthetic-fixture field or a command setting."""

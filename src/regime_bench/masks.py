@@ -62,7 +62,9 @@ def round5(x: float) -> int:
 
 def derive_seed(master_seed: int, patient_id: str, episode_id: int) -> int:
     """Stable per-episode stream seed, independent of execution order."""
-    import hashlib  # only the commands that derive seeds pay for loading it
+    # only the commands that derive seeds load it; under cli it computes SHA-256 with
+    # CPython's built-in module, not OpenSSL's, and the digest is the same
+    import hashlib
 
     digest = hashlib.sha256(f"{master_seed}:{patient_id}:{episode_id}".encode()).digest()
     return int.from_bytes(digest[:8], "big")

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import formats
 from .core import Episode, bits_to_runs, split_mask
-from .errors import DimensionError, RoutingError
+from .errors import ConfigError, DimensionError, RoutingError
 from .imputers import Imputation, impute_lerp
 from .masks import Mask, masked_view
 from .protocols import StabilityCriteria, gradient_of
@@ -38,6 +38,12 @@ def check_context_minutes(context_minutes: int) -> None:
         raise DimensionError(f"context_minutes must be >= 0, got {context_minutes}")
 
 
+def check_gradient_threshold(gradient_threshold: float) -> None:
+    """Raise ConfigError unless gradient_threshold >= 0; NaN is not."""
+    if not gradient_threshold >= 0:
+        raise ConfigError(f"gradient_threshold must be >= 0, got {gradient_threshold!r}")
+
+
 def classify_gap(
     episode: Episode,
     gap: tuple[int, int],
@@ -51,6 +57,7 @@ def classify_gap(
     conservatively transient.
     """
     check_context_minutes(context_minutes)
+    check_gradient_threshold(criteria.gradient_threshold)
     start, length = gap
     end = start + length
     n_ctx = max(1, context_minutes // 5)

@@ -67,6 +67,8 @@ def _validate(config: SynthConfig) -> tuple[int | None, int | None]:
     """
     if config.days < 1:
         raise ConfigError("days must be >= 1")
+    if config.seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"seed must be >= 0, got {config.seed}")
     # the CGM readers strip the id and the TCR reader does not, so only a stripped id
     # reads back the same from both
     if not config.patient_id or config.patient_id != config.patient_id.strip():

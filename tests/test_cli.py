@@ -699,8 +699,8 @@ class TestWorkerCap:
         assert run("synth", "--days", 1, "--out", tmp_path / "fx") == 0
 
 
-def _last_line_of(code, **overrides):
-    """Run code in a fresh interpreter with this package importable; returns its last output line.
+def _fresh(code, **overrides):
+    """Run code in a fresh interpreter with this package importable; returns the process.
 
     overrides set environment variables of the child; None unsets one.
     """
@@ -708,7 +708,12 @@ def _last_line_of(code, **overrides):
     path = [str(src), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **overrides}
     env = {name: value for name, value in env.items() if value is not None}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def _last_line_of(code, **overrides):
+    """Run code as _fresh does; returns its last output line."""
+    proc = _fresh(code, **overrides)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
 
@@ -797,9 +802,9 @@ LOADED_ONLY_BY = {
     "regime_bench.metrics": {"evaluate", "calibrate", "report"},
     "regime_bench.imputers": {"impute", "evaluate", "calibrate", "route"},
     "scipy": {"fit"},
-    # OpenSSL's hashes, megabytes of RSS: seed derivation and scipy load them, and the
-    # read cache's BLAKE2b must not
-    "_hashlib": {"synth", "fit", "mask", "stress"},
+    # OpenSSL's hashes, megabytes of RSS: cli blocks them, so numpy.random, seed derivation
+    # and scipy take CPython's own, as the read cache's BLAKE2b does
+    "_hashlib": set(),
     # about 13 ms of imports; scipy's least_squares loads it
     "numpy.ma": {"fit"},
 }
@@ -835,10 +840,34 @@ class TestEachCommandLoadsOnlyWhatItRuns:
             loaded = _last_line_of(
                 "import sys\nfrom regime_bench.cli import main\n"
                 f"assert main({argv!r}) == 0\n"
-                f"print(sorted(m for m in {names!r} if m in sys.modules))"
+                # a blocked module is a None entry
+                f"print(sorted(m for m in {names!r} if sys.modules.get(m) is not None))"
             )
             expected = [m for m in names if argv[0] in LOADED_ONLY_BY[m]]
             assert loaded == str(expected), argv[0]
+
+    def test_openssl_when_a_builtin_hash_is_missing(self, two_days, tmp_path):
+        """Without CPython's own SHA-256, cli leaves hashlib to OpenSSL: the same bytes, and
+        no hashlib traceback on stderr."""
+        blocked = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+        loaded, written = {}, {}
+        for missing in (None, blocked):
+            out = tmp_path / str(missing)
+            argv = ["stress", "--input", str(two_days / "cgm.csv"), "--protocol", "A",
+                    "--seed", "1", "--out", str(out)]
+            proc = _fresh(
+                "import sys\n"
+                f"if {missing!r}:\n    sys.modules[{missing!r}] = None\n"
+                "from regime_bench.cli import main\n"
+                f"code = main({argv!r})\n"
+                "print(sys.modules.get('_hashlib') is not None)\n"
+                "sys.exit(code)"
+            )
+            assert (proc.returncode, proc.stderr) == (0, "")
+            loaded[missing] = proc.stdout.splitlines()[-1]
+            written[missing] = (out / "masks.json").read_bytes()
+        assert loaded == {None: "False", blocked: "True"}
+        assert written[None] == written[blocked]
 
     def test_method_choices_are_the_builtin_imputers(self):
         assert list(cli.IMPUTE_METHODS) == sorted(imputers.BUILTIN_IMPUTERS)
@@ -1613,3 +1642,83 @@ class TestSynthRejectsUnusableLayouts:
         assert run("synth", *options, "--out", out) == 1
         assert capsys.readouterr().err == f"error: {detail}\n"
         assert not out.exists()
+
+
+GRADIENT_THRESHOLD_CASES = [
+    ("nan", "gradient_threshold must be >= 0, got nan"),
+    ("-1", "gradient_threshold must be >= 0, got -1.0"),
+    ("-inf", "gradient_threshold must be >= 0, got -inf"),
+]
+
+
+class TestRouteGradientThreshold:
+    """--gradient-threshold must be >= 0, checked before any input is read."""
+
+    @pytest.mark.parametrize("value, detail", GRADIENT_THRESHOLD_CASES)
+    def test_rejected_before_the_inputs(self, tmp_path, capsys, value, detail):
+        out = tmp_path / "route"
+        assert run("route", "--input", tmp_path / "missing.csv", "--masks", tmp_path / "missing.json",
+                   f"--gradient-threshold={value}", "--out", out) == 1
+        assert capsys.readouterr() == ("", f"error: {detail}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, detail", GRADIENT_THRESHOLD_CASES)
+    def test_rejected_with_an_external_model(self, pipeline, tmp_path, capsys, value, detail):
+        out = tmp_path / "route"
+        assert run("route", "--input", pipeline["cgm"], "--masks", pipeline["masks"],
+                   "--external", pipeline["imputed"]["lerp"], f"--gradient-threshold={value}",
+                   "--out", out) == 1
+        assert capsys.readouterr() == ("", f"error: {detail}\n")
+        assert not out.exists()
+
+    def test_zero_sends_every_gap_to_the_external_model(self, pipeline, tmp_path):
+        out = tmp_path / "route"
+        assert run("route", "--input", pipeline["cgm"], "--masks", pipeline["masks"],
+                   "--external", pipeline["imputed"]["lerp"], "--gradient-threshold", 0,
+                   "--out", out) == 0
+        summary = json.loads((out / "routing.json").read_text())["summary"]
+        assert summary["stationary_fraction"] == 0.0
+
+
+class TestSynthRejectsANegativeSeed:
+    def test_error_names_the_field(self, tmp_path, capsys):
+        out = tmp_path / "fx"
+        assert run("synth", "--days", 2, "--seed", -1, "--out", out) == 1
+        assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+        assert not out.exists()
+
+
+def _directory_commands(pipeline):
+    """The arguments, all but --out, of each command that writes a directory."""
+    truth = ["--input", pipeline["cgm"], "--masks", pipeline["masks"]]
+    lerp = pipeline["imputed"]["lerp"]
+    return {
+        "stress": ["stress", "--input", pipeline["cgm"], "--protocol", "A", "--seed", 1],
+        "evaluate": ["evaluate", *truth, "--imputed", lerp, "--windows", pipeline["windows"]],
+        "calibrate": ["calibrate", *truth, "--imputed", lerp],
+        "route": ["route", *truth, "--external", lerp],
+    }
+
+
+class TestOutThatCannotBeCreated:
+    """When --out cannot be made a directory, a command prints nothing to stdout and one error
+    line naming --out."""
+
+    @pytest.mark.parametrize("command", ["stress", "evaluate", "calibrate", "route"])
+    @pytest.mark.parametrize("under, reason", [("", "File exists"), ("sub", "Not a directory")],
+                             ids=["a file", "under a file"])
+    def test_error_names_out(self, pipeline, tmp_path, capsys, command, under, reason):
+        blocker = tmp_path / "notadir"
+        blocker.write_text("kept\n")
+        out = blocker / under if under else blocker
+        assert run(*_directory_commands(pipeline)[command], "--out", out) == 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot create the --out directory {out}: {reason}\n")
+        assert blocker.read_text() == "kept\n"
+
+    def test_evaluate_prints_the_table_then_the_paths(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "eval"
+        assert run(*_directory_commands(pipeline)["evaluate"], "--out", out) == 0
+        table = (out / "table.txt").read_text()
+        assert table
+        assert capsys.readouterr().out == f"{table}{out / 'report.json'}\n{out / 'table.txt'}\n"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import loop_classify_gap, make_episode
 from regime_bench import router as rt
-from regime_bench.errors import RoutingError
+from regime_bench.errors import ConfigError, RoutingError
 from regime_bench.imputers import Imputation, impute_lerp
 from regime_bench.masks import Mask, apply_mask
 from regime_bench.protocols import StabilityCriteria
@@ -88,6 +88,24 @@ class TestClassifyGap:
         if "stationary" in labels:
             first = labels.index("stationary")
             assert all(lab == "stationary" for lab in labels[first:])
+
+
+class TestGradientThresholdCheck:
+    @pytest.mark.parametrize("threshold, shown", [
+        (float("nan"), "nan"), (-1.0, "-1.0"), (-0.1, "-0.1"), (float("-inf"), "-inf")])
+    def test_rejected(self, threshold, shown):
+        with pytest.raises(ConfigError, match=f"^gradient_threshold must be >= 0, got {shown}$"):
+            rt.check_gradient_threshold(threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.6, float("inf")])
+    def test_accepted(self, threshold):
+        rt.check_gradient_threshold(threshold)
+
+    def test_classify_gap_checks_it(self):
+        ep = make_episode(np.full(60, 100.0))
+        mask = mask_with_gap(60, 25, 8)
+        with pytest.raises(ConfigError, match="^gradient_threshold must be >= 0, got nan$"):
+            rt.classify_gap(gapped(ep, mask), (25, 8), StabilityCriteria(gradient_threshold=float("nan")))
 
 
 class TestAdaptiveImpute:

@@ -145,3 +145,8 @@ class TestGappedFixture:
 def test_drift_period_must_be_positive():
     with pytest.raises(ConfigError, match="^drift_period must be positive$"):
         synth.generate(synth.SynthConfig(days=1, drift_period=0))
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+        synth.generate(synth.SynthConfig(days=1, seed=-1))
