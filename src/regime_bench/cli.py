@@ -25,9 +25,10 @@ from pathlib import Path
 
 # before numpy loads: no command's BLAS work needs a thread pool; an explicit setting wins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-# and none maps OpenSSL, megabytes of RSS: numpy.random (through secrets and hmac) and
-# derive_seed import hashlib, which then takes CPython's built-in hashes, the same digests.
-# Only when every one of them is there: hashlib logs a traceback for each one missing.
+# likewise, no command maps OpenSSL's libcrypto, megabytes of RSS: numpy.random (through
+# secrets and hmac) and derive_seed import hashlib, which then takes CPython's own hashes,
+# the same digests. Only when all of them are there: hashlib logs a traceback for each
+# one missing.
 _BUILTIN_HASHES = ("_md5", "_sha1", "_sha3", "_blake2",
                    *(("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")))
 if all(importlib.util.find_spec(name) is not None for name in _BUILTIN_HASHES):

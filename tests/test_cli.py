@@ -1657,8 +1657,9 @@ class TestRouteGradientThreshold:
     @pytest.mark.parametrize("value, detail", GRADIENT_THRESHOLD_CASES)
     def test_rejected_before_the_inputs(self, tmp_path, capsys, value, detail):
         out = tmp_path / "route"
-        assert run("route", "--input", tmp_path / "missing.csv", "--masks", tmp_path / "missing.json",
-                   f"--gradient-threshold={value}", "--out", out) == 1
+        assert run("route", "--input", tmp_path / "missing.csv",
+                   "--masks", tmp_path / "missing.json", f"--gradient-threshold={value}",
+                   "--out", out) == 1
         assert capsys.readouterr() == ("", f"error: {detail}\n")
         assert not out.exists()
 

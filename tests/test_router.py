@@ -104,8 +104,9 @@ class TestGradientThresholdCheck:
     def test_classify_gap_checks_it(self):
         ep = make_episode(np.full(60, 100.0))
         mask = mask_with_gap(60, 25, 8)
+        criteria = StabilityCriteria(gradient_threshold=float("nan"))
         with pytest.raises(ConfigError, match="^gradient_threshold must be >= 0, got nan$"):
-            rt.classify_gap(gapped(ep, mask), (25, 8), StabilityCriteria(gradient_threshold=float("nan")))
+            rt.classify_gap(gapped(ep, mask), (25, 8), criteria)
 
 
 class TestAdaptiveImpute:
