@@ -154,7 +154,8 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     from . import missingness
 
-    # no name holds the episodes, so they are freed before fit_regimes imports scipy
+    # no name holds the episodes or the block they view, so both are freed before
+    # fit_regimes imports scipy
     gaps, onset = missingness.fit_onsets(ingest_csv(args.input, args.partition_gap))
     print("onset probabilities:", " ".join(f"{p:.4f}" for p in onset))
     try:

@@ -10,6 +10,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime
+from functools import partial
 
 import numpy as np
 
@@ -175,18 +176,19 @@ def ingest_csv(path, partition_gap_minutes: int) -> list[Episode]:
     A new episode starts whenever consecutive glucose observations are more
     than partition_gap_minutes apart. Exogenous channels are zero-filled on
     grid points without an event. A file in canonical form is read as
-    columns; the row reader reads every other file and raises every error.
+    columns, and its episodes are cached by formats.read_columns as one
+    block, served again once _block_episodes' checks pass; the row reader
+    reads every other file and raises every error. The episodes are
+    read-only views of one block (see _partition).
     """
     if partition_gap_minutes <= 0:
         raise ParseError("partition_gap_minutes must be positive")
-    rows = _read_columns(path)
-    if rows is None:
-        rows = _read_rows(path)
-    # each patient's rows are merged in place: the cells are the table's own memory
-    cells = {patient: _merge_cells(rows[patient]) for patient in sorted(rows)}
-    episodes = []
-    for patient, merged in cells.items():
-        episodes += _partition(patient, merged, partition_gap_minutes)
+    finish = formats.Finish(__file__, (partition_gap_minutes,),
+                            partial(_columns_block, partition_gap_minutes),
+                            partial(_block_episodes, partition_gap_minutes))
+    episodes = formats.read_columns(path, CGM_HEADER, "tiffff", finish)
+    if episodes is None:
+        episodes = _episodes(*_partition(_read_rows(path), partition_gap_minutes))
     return episodes
 
 
@@ -224,15 +226,18 @@ def _read_rows(path) -> dict[str, np.ndarray]:
 
 
 def _read_columns(path) -> dict[str, np.ndarray] | None:
-    """The rows of _read_rows from a canonical file, or None to leave the file to it.
+    """The rows of _read_rows from a canonical file, or None to leave the file to it."""
+    read = formats.read_columns(path, CGM_HEADER, "tiffff")
+    return None if read is None else _column_rows(*read)
+
+
+def _column_rows(table, runs) -> dict[str, np.ndarray] | None:
+    """The rows of _read_rows from read_columns' (table, runs); None to leave the file to it.
 
     None also stands for every check that fails, so that the row reader
     raises the error and names the line.
     """
-    read = formats.read_columns(path, CGM_HEADER, "tiffff")
-    if read is None:
-        return None
-    table, (patients,) = read
+    (patients,) = runs
     glucose, exog = table[:, 1], table[:, 2:]
     present = glucose[~np.isnan(glucose)]
     exog[np.isnan(exog)] = 0.0  # an empty exogenous field reads as 0
@@ -249,6 +254,15 @@ def _read_columns(path) -> dict[str, np.ndarray] | None:
         if np.any(np.diff(rows[patient][:, 0]) < 0):  # a decreasing timestamp
             return None
     return rows
+
+
+def _columns_block(partition_gap_minutes: int, table, runs):
+    """read_columns' make: the (doc, block) of _partition for a canonical file, or None."""
+    rows = _column_rows(table, runs)
+    if rows is None:
+        return None
+    spans, block = _partition(rows, partition_gap_minutes)
+    return {"episodes": spans}, block
 
 
 def _last_per_cell(cell: np.ndarray, values: np.ndarray, keep: np.ndarray, fill: float):
@@ -300,24 +314,118 @@ def _merge_cells(rows: np.ndarray) -> np.ndarray:
     return rows[:filled]
 
 
-def _partition(patient: str, cells: np.ndarray, partition_gap_minutes: int) -> list[Episode]:
-    """Episodes from one patient's merged (grid, glucose, carbs, bolus, basal) cells."""
-    grid, values = cells[:, 0], cells[:, 1:]
-    obs = np.flatnonzero(~np.isnan(values[:, 0]))
+def _partition(rows: dict[str, np.ndarray], partition_gap_minutes: int):
+    """Each patient's rows, in patient order, merged into grid cells and cut into episodes.
+
+    Returns the episodes' ``[patient_id, episode_id, start_minute, offset, T]``
+    spans and one float64 block of 4 * N values, N being their total T: every
+    glucose value, then every (carbs, bolus, basal) row; an episode's are
+    those from its offset to its offset + T in each part. Grid points with
+    no cell read NaN glucose and zero exogenous values. The block is filled
+    in place, with no array per episode.
+    """
+    spans, pieces, n = [], [], 0
+    for patient in sorted(rows):
+        cells = _merge_cells(rows[patient])
+        for episode_id, (lo, hi) in enumerate(_cuts(cells, partition_gap_minutes)):
+            T = int(cells[hi - 1, 0] - cells[lo, 0]) + 1
+            spans.append([patient, episode_id, int(cells[lo, 0]) * GRID_MINUTES, n, T])
+            pieces.append(cells[lo:hi])
+            n += T
+    block = np.empty(4 * n)
+    glucose, exog = block[:n], block[n:].reshape(n, 3)
+    glucose[:], exog[:] = np.nan, 0.0
+    for (_, _, _, offset, _), piece in zip(spans, pieces):
+        t = offset + (piece[:, 0] - piece[0, 0]).astype(np.intp)
+        glucose[t] = piece[:, 1]
+        exog[t] = piece[:, 2:]
+    return spans, block
+
+
+def _cuts(cells: np.ndarray, partition_gap_minutes: int) -> list[tuple[int, int]]:
+    """The (lo, hi) cell ranges of one patient's episodes: from an observation to the
+    next one further than the gap away, which starts the next episode."""
+    grid = cells[:, 0]
+    obs = np.flatnonzero(~np.isnan(cells[:, 1]))
     if obs.size == 0:
         return []
     # split where consecutive observations are further apart than the threshold
     split = np.diff(grid[obs]) * GRID_MINUTES > partition_gap_minutes
-    bounds = zip(obs[np.append(True, split)], obs[np.append(split, True)] + 1)
-    del obs, split  # freed before the episodes are allocated, so they fill the space
-    episodes = []
-    for episode_id, (lo, hi) in enumerate(bounds):
-        t = (grid[lo:hi] - grid[lo]).astype(np.intp)
-        dense = np.tile([np.nan, 0.0, 0.0, 0.0], (t[-1] + 1, 1))
-        dense[t] = values[lo:hi]
-        glucose, exog, start = dense[:, 0], dense[:, 1:], int(grid[lo]) * GRID_MINUTES
-        episodes.append(Episode(patient, episode_id, start, glucose, exog, ~np.isnan(glucose)))
-    return episodes
+    return list(zip(obs[np.append(True, split)].tolist(),
+                    (obs[np.append(split, True)] + 1).tolist()))
+
+
+def _episodes(spans, block: np.ndarray) -> list[Episode]:
+    """The episodes of _partition's spans, as read-only views of its block."""
+    n = block.size // 4
+    glucose, exog = block[:n], block[n:].reshape(n, 3)
+    block.flags.writeable = False
+    return [Episode(patient, episode_id, start, glucose[lo : lo + T], exog[lo : lo + T],
+                    ~np.isnan(glucose[lo : lo + T]))
+            for patient, episode_id, start, lo, T in spans]
+
+
+_STORED_START_MAX = 2**53  # a canonical file's timestamps are integers of at most 2**53
+
+
+def _block_episodes(partition_gap_minutes: int, doc: dict, block: np.ndarray):
+    """read_columns' load: the episodes of a (doc, block) from _columns_block, or None
+    when it fails a check.
+
+    Checked: every span is ``[patient_id, episode_id, start_minute, offset,
+    T]`` with a non-empty id and integers; patients come in sorted order,
+    each with ids 0, 1, ...; offsets increase and cover the block, and every
+    T is at least 1; starts lie on the 5-minute grid, and within each
+    patient each episode starts more than the gap after the previous one's
+    last sample; glucose lies in [20, 500] wherever it is present, is
+    present at each episode's first and last sample, and is never missing
+    for as long as the gap; exogenous values are finite and >= 0; and every
+    Episode invariant holds.
+    """
+    spans = doc.get("episodes")
+    if block.ndim != 1 or block.size % 4 or not isinstance(spans, list):
+        return None
+    n = block.size // 4
+    if not spans:
+        return [] if n == 0 else None
+    if not all(isinstance(span, list) and len(span) == 5 and isinstance(span[0], str)
+               and span[0] and all(type(v) is int for v in span[1:]) for span in spans):
+        return None
+    patients = [span[0] for span in spans]
+    try:
+        ids, starts, offsets, lengths = np.array([span[1:] for span in spans], np.int64).T
+    except OverflowError:
+        return None
+    first = np.array([True] + [a != b for a, b in zip(patients[1:], patients)])
+    named = [p for p, new in zip(patients, first) if new]
+    if (any(a >= b for a, b in zip(named, named[1:]))
+            or np.any(ids != np.arange(len(ids)) - np.maximum.accumulate(
+                np.where(first, np.arange(len(ids)), 0)))):
+        return None
+    if (lengths.min() < 1 or lengths.max() > n or offsets[0] != 0
+            or np.any(offsets[1:] != offsets[:-1] + lengths[:-1])
+            or offsets[-1] + lengths[-1] != n):
+        return None
+    if starts.min() < -_STORED_START_MAX or starts.max() > _STORED_START_MAX:
+        return None  # so that no sum below overflows
+    gap = min(partition_gap_minutes, 2**62)
+    last = starts + GRID_MINUTES * (lengths - 1)
+    if np.any(starts % GRID_MINUTES) or np.any((starts[1:] - last[:-1] <= gap) & ~first[1:]):
+        return None
+    glucose, exog = block[:n], block[n:]
+    if (np.isnan(glucose[offsets]).any() or np.isnan(glucose[offsets + lengths - 1]).any()
+            or not np.fmin.reduce(glucose) >= GLUCOSE_MIN
+            or not np.fmax.reduce(glucose) <= GLUCOSE_MAX
+            or not exog.min() >= 0.0 or not exog.max() < math.inf):
+        return None
+    # each missing run lies inside one episode, since its edges are present
+    edges = np.flatnonzero(np.diff(np.isnan(glucose).view(np.int8)))
+    if np.any((edges[1::2] - edges[::2] + 1) * GRID_MINUTES > gap):
+        return None
+    try:
+        return _episodes(spans, block)
+    except (DimensionError, IntegrityError):
+        return None
 
 
 def export_csv(episodes: list[Episode], path, gapped=None) -> None:

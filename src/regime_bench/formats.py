@@ -21,18 +21,21 @@ that need quoting included. The caller's row reader reads what it declines,
 so every error that names a line comes from ``read_csv``. Each file is
 parsed once per content: ``read_columns`` keeps its results in a cache
 directory keyed by a hash of the file's bytes and of this module's code, and
-serves a repeat read from there with the same arrays.
+serves a repeat read from there with the same arrays. A caller may pass a
+``Finish``, what it makes of the arrays; then that is what is cached.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager, suppress
 from itertools import islice
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -200,7 +203,24 @@ _FORBIDDEN[0x80:] = True
 _FORBIDDEN[[0x00, 0x09, 0x0B, 0x0C, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x22]] = True
 
 
-def read_columns(path, header: list[str], kinds: str):
+class Finish(NamedTuple):
+    """What a caller makes of read_columns' table and runs, cached in their place.
+
+    make(table, runs) returns (doc, array): a JSON object and a float64
+    array that together hold the caller's result, or None to decline the
+    file. load(doc, array) returns that result, or None when the two fail
+    the caller's checks. The cache key also holds params and the code of
+    the module at path source, so an entry holds for that code and those
+    parameters only.
+    """
+
+    source: str
+    params: tuple
+    make: Callable
+    load: Callable
+
+
+def read_columns(path, header: list[str], kinds: str, finish: Finish | None = None):
     """Read a CSV file in canonical form as arrays; None when it is not canonical.
 
     kinds has one letter per column: "t" text, "i" integer, "f" float. The
@@ -220,58 +240,99 @@ def read_columns(path, header: list[str], kinds: str):
     the table could not tell them from an empty field or hold them exactly.
     A file in that form reads to the same values through csv.reader.
 
-    The file is read once to count lines and hash its bytes. A result
-    cached under that hash is returned as it was stored (see
-    ``_cache_dir``); otherwise the file is read again in blocks of 128 KiB
-    parsed into the preallocated table, so memory stays at the table plus
-    one block's temporaries, and a canonical file's result is cached.
+    With finish, the result is ``finish.load(*finish.make(table, runs))``
+    instead, and None when make declines or load fails; that result, or the
+    decline, is what is cached.
+
+    The file is read once to hash its bytes. A result cached under that
+    hash is returned as it was stored, once load accepts it (see
+    ``_cache_dir``); otherwise the file's lines are counted and it is read
+    again in blocks of 128 KiB parsed into the preallocated table, so
+    memory stays at the table plus one block's temporaries, and a canonical
+    file's result is cached.
     """
-    head = ",".join(header).encode()
+    if finish is None:
+        finish = Finish(None, (), _table_doc, lambda doc, table: _table_of(kinds, doc, table))
+    code = Path(__file__).read_bytes() + (Path(finish.source).read_bytes() if finish.source else b"")
     try:
         with Path(path).open("rb") as fh:
-            # an entry holds for this module's code, numpy's version and byte order, the
-            # header, the kinds and the file's bytes
-            key = blake2b(repr((np.__version__, sys.byteorder, header, kinds)).encode(),
-                          key=blake2b(Path(__file__).read_bytes()).digest(), digest_size=20)
-            lines = 0
+            # an entry holds for this module's code and the caller's, numpy's version and
+            # byte order, the header, the kinds, the caller's parameters and the file's bytes
+            key = blake2b(repr((np.__version__, sys.byteorder, header, kinds, finish.params))
+                          .encode(), key=blake2b(code).digest(), digest_size=20)
             for block in iter(lambda: fh.read(BLOCK_BYTES), b""):
-                lines += block.count(b"\n")
                 key.update(block)
             cache = _cache_dir()
             entry = cache / key.hexdigest() if cache else None
-            if entry and (read := _load_entry(entry, kinds)):
-                return read
-            fh.seek(0)
-            if fh.readline(len(head) + 2) not in (head + b"\n", head + b"\r\n"):
+            stored = _load_entry(entry) if entry else None
+            if stored is _DECLINED:
                 return None
-            table = np.empty((lines, kinds.count("i") + kinds.count("f")))
-            runs = [[] for _ in range(kinds.count("t"))]
-            filled, carry = 0, b""
-            while True:
-                data = fh.read(BLOCK_BYTES)
-                buf = carry + data
-                cut = buf.rfind(b"\n") + 1 if data else len(buf)
-                carry = buf[cut:]
-                if len(carry) > BLOCK_BYTES:
-                    return None
-                if cut:
-                    parsed = _parse_block(memoryview(buf)[:cut], kinds, filled)
-                    if parsed is None:
-                        return None
-                    numbers, texts = parsed
-                    table[filled : filled + len(numbers)] = numbers
-                    filled += len(numbers)
-                    for column, new in zip(runs, texts):  # a run across the cut goes on
-                        column.extend(new[1:] if column and column[-1][0] == new[0][0] else new)
-                if not data:
-                    break
+            if stored is not None and (result := finish.load(*stored)) is not None:
+                return result
+            columns = _parse(fh, ",".join(header).encode(), kinds)
     except OSError:
         return None
-    if not filled:
+    if columns is None:
         return None
+    stored = finish.make(*columns)
+    del columns  # the caller's result may be all that is left
+    result = None if stored is None else finish.load(*stored)
     if entry:
-        _store_entry(entry, table[:filled], runs)
-    return table[:filled], runs
+        _store_entry(entry, None if result is None else stored)
+    return result
+
+
+_DECLINED = object()  # a cached decline: a canonical file that the caller declined
+
+
+def _table_doc(table, runs):
+    """read_columns' own result as an entry's (doc, array)."""
+    return {"runs": runs}, table
+
+
+def _table_of(kinds: str, doc: dict, table: np.ndarray):
+    """(table, runs) from an entry's (doc, array); None unless they fit kinds."""
+    try:
+        runs = [[(text, row) for text, row in column] for column in doc["runs"]]
+    except (KeyError, TypeError, ValueError):
+        return None
+    if table.ndim != 2 or table.shape[1] != len(kinds) - kinds.count("t") \
+            or len(runs) != kinds.count("t"):
+        return None
+    return table, runs
+
+
+def _parse(fh, head: bytes, kinds: str):
+    """(table, runs) of the canonical file open in fh, or None: counts its lines,
+    allocates the table, then parses the file into it block by block."""
+    fh.seek(0)
+    if fh.readline(len(head) + 2) not in (head + b"\n", head + b"\r\n"):
+        return None
+    body = fh.tell()
+    lines = sum(block.count(b"\n") for block in iter(lambda: fh.read(BLOCK_BYTES), b""))
+    fh.seek(body)
+    table = np.empty((lines + 1, kinds.count("i") + kinds.count("f")))
+    runs = [[] for _ in range(kinds.count("t"))]
+    filled, carry = 0, b""
+    while True:
+        data = fh.read(BLOCK_BYTES)
+        buf = carry + data
+        cut = buf.rfind(b"\n") + 1 if data else len(buf)
+        carry = buf[cut:]
+        if len(carry) > BLOCK_BYTES:
+            return None
+        if cut:
+            parsed = _parse_block(memoryview(buf)[:cut], kinds, filled)
+            if parsed is None:
+                return None
+            numbers, texts = parsed
+            table[filled : filled + len(numbers)] = numbers
+            filled += len(numbers)
+            for column, new in zip(runs, texts):  # a run across the cut goes on
+                column.extend(new[1:] if column and column[-1][0] == new[0][0] else new)
+        if not data:
+            break
+    return (table[:filled], runs) if filled else None
 
 
 def _cache_dir() -> Path | None:
@@ -288,39 +349,43 @@ def _cache_dir() -> Path | None:
     return None
 
 
-def _load_entry(entry: Path, kinds: str):
-    """The (table, runs) stored under entry; None when it is missing, short, malformed or
-    stored under another key. A hit marks the entry as used now."""
+def _load_entry(entry: Path):
+    """The (doc, array) stored under entry, or _DECLINED; None when it is missing, short,
+    malformed or stored under another key. A hit marks the entry as used now."""
     try:
         with entry.open("rb") as fh:
-            meta = json.loads(fh.readline())
-            rows, width = meta["shape"]
-            runs = [[(text, row) for text, row in column] for column in meta["runs"]]
-            if (meta["key"] != entry.name or width != len(kinds) - kinds.count("t")
-                    or len(runs) != kinds.count("t")
-                    or fh.tell() + 8 * rows * width != os.fstat(fh.fileno()).st_size):
+            doc = json.loads(fh.readline())
+            shape = doc.pop("shape")
+            if doc.pop("key") != entry.name:
                 return None
-            table = np.fromfile(fh, count=rows * width).reshape(rows, width)
+            size = 0 if shape is None else math.prod(shape)
+            if fh.tell() + 8 * size != os.fstat(fh.fileno()).st_size:
+                return None
+            stored = _DECLINED if shape is None else (
+                doc, np.fromfile(fh, count=size).reshape(shape))
         os.utime(entry)
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
-    return table, runs
+    return stored
 
 
-def _store_entry(entry: Path, table: np.ndarray, runs: list) -> None:
-    """Store a result as one JSON line (key, shape, runs) and the raw table, then evict.
+def _store_entry(entry: Path, stored) -> None:
+    """Store a (doc, array) as one JSON line (key, shape, the doc) and the raw array, or
+    None as a decline, one JSON line with a null shape; then evict.
 
     The entry is written under a temporary name and renamed into place, so
     a reader sees a whole entry or none. An OSError ends the store there and
     removes the temporary file; the result is returned all the same.
     """
+    doc, array = stored or ({}, None)
+    shape = None if array is None else array.shape
     tmp = entry.with_name(f".{entry.name}.{os.getpid()}")
     try:
         entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
         with tmp.open("wb") as fh:
-            fh.write(json.dumps({"key": entry.name, "shape": table.shape, "runs": runs})
-                     .encode() + b"\n")
-            table.tofile(fh)
+            fh.write(json.dumps({"key": entry.name, "shape": shape, **doc}).encode() + b"\n")
+            if array is not None:
+                array.tofile(fh)
         os.replace(tmp, entry)
         with os.scandir(entry.parent) as it:
             files = sorted((e.stat().st_mtime, e.stat().st_size, e.path) for e in it)
