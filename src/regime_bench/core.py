@@ -317,6 +317,7 @@ def _merge_cells(rows: np.ndarray) -> np.ndarray:
 def _partition(rows: dict[str, np.ndarray], partition_gap_minutes: int):
     """Each patient's rows, in patient order, merged into grid cells and cut into episodes.
 
+    The rows, which must be writable, become the cells (see _merge_cells).
     Returns the episodes' ``[patient_id, episode_id, start_minute, offset, T]``
     spans and one float64 block of 4 * N values, N being their total T: every
     glucose value, then every (carbs, bolus, basal) row; an episode's are
@@ -396,11 +397,11 @@ def _block_episodes(partition_gap_minutes: int, doc: dict, block: np.ndarray):
         ids, starts, offsets, lengths = np.array([span[1:] for span in spans], np.int64).T
     except OverflowError:
         return None
-    first = np.array([True] + [a != b for a, b in zip(patients[1:], patients)])
+    first = np.array([True] + [a != b for a, b in zip(patients[1:], patients)])  # a new patient
     named = [p for p, new in zip(patients, first) if new]
+    index = np.arange(len(spans))
     if (any(a >= b for a, b in zip(named, named[1:]))
-            or np.any(ids != np.arange(len(ids)) - np.maximum.accumulate(
-                np.where(first, np.arange(len(ids)), 0)))):
+            or np.any(ids != index - np.maximum.accumulate(np.where(first, index, 0)))):
         return None
     if (lengths.min() < 1 or lengths.max() > n or offsets[0] != 0
             or np.any(offsets[1:] != offsets[:-1] + lengths[:-1])

@@ -33,6 +33,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager, suppress
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -214,7 +215,7 @@ class Finish(NamedTuple):
     parameters only.
     """
 
-    source: str
+    source: str | None
     params: tuple
     make: Callable
     load: Callable
@@ -252,8 +253,10 @@ def read_columns(path, header: list[str], kinds: str, finish: Finish | None = No
     file's result is cached.
     """
     if finish is None:
-        finish = Finish(None, (), _table_doc, lambda doc, table: _table_of(kinds, doc, table))
-    code = Path(__file__).read_bytes() + (Path(finish.source).read_bytes() if finish.source else b"")
+        finish = Finish(None, (), _table_doc, partial(_table_of, kinds))
+    code = Path(__file__).read_bytes()
+    if finish.source:
+        code += Path(finish.source).read_bytes()
     try:
         with Path(path).open("rb") as fh:
             # an entry holds for this module's code and the caller's, numpy's version and
@@ -275,7 +278,7 @@ def read_columns(path, header: list[str], kinds: str, finish: Finish | None = No
     if columns is None:
         return None
     stored = finish.make(*columns)
-    del columns  # the caller's result may be all that is left
+    del columns  # so that the table, unless make's result holds it, is freed before load
     result = None if stored is None else finish.load(*stored)
     if entry:
         _store_entry(entry, None if result is None else stored)

@@ -171,8 +171,9 @@ class TestDamagedEntryIsAMissThenReplaced:
                 del doc["shape"]
             elif damage == "no episodes":
                 del doc["episodes"]
+            rewritten = json.dumps(doc).encode() + b"\n" + block
             return {"truncated": good[:-8], "garbage": b"\xff\x00 not an entry\n" + block,
-                    "longer": good + b"\0" * 8}.get(damage, json.dumps(doc).encode() + b"\n" + block)
+                    "longer": good + b"\0" * 8}.get(damage, rewritten)
 
         self.read_and_damage(own_cache, cgm_files["gapped"], 240, bad)
 
