@@ -366,62 +366,46 @@ def _episodes(spans, block: np.ndarray) -> list[Episode]:
             for patient, episode_id, start, lo, T in spans]
 
 
-_STORED_START_MAX = 2**53  # a canonical file's timestamps are integers of at most 2**53
-
-
 def _block_episodes(partition_gap_minutes: int, doc: dict, block: np.ndarray):
     """read_columns' load: the episodes of a (doc, block) from _columns_block, or None
     when it fails a check.
 
-    Checked: every span is ``[patient_id, episode_id, start_minute, offset,
-    T]`` with a non-empty id and integers; patients come in sorted order,
-    each with ids 0, 1, ...; offsets increase and cover the block, and every
-    T is at least 1; starts lie on the 5-minute grid, and within each
-    patient each episode starts more than the gap after the previous one's
-    last sample; glucose lies in [20, 500] wherever it is present, is
-    present at each episode's first and last sample, and is never missing
-    for as long as the gap; exogenous values are finite and >= 0; and every
-    Episode invariant holds.
+    Checked: each span is ``[patient_id, episode_id, start_minute, offset,
+    T]``, a non-empty id and four integers; patients come in sorted order,
+    each with ids 0, 1, ...; the offsets increase and cover the block, and
+    every T is at least 1; within each patient each episode starts more
+    than the gap after the previous one's last sample; glucose is present
+    at each episode's first and last sample, and inside an episode no two
+    consecutive observations are more than the gap apart; exogenous values
+    are finite and >= 0; and every Episode invariant holds, which puts each
+    start on the 5-minute grid and glucose in [20, 500].
     """
     spans = doc.get("episodes")
     if block.ndim != 1 or block.size % 4 or not isinstance(spans, list):
         return None
     n = block.size // 4
-    if not spans:
-        return [] if n == 0 else None
-    if not all(isinstance(span, list) and len(span) == 5 and isinstance(span[0], str)
-               and span[0] and all(type(v) is int for v in span[1:]) for span in spans):
-        return None
-    patients = [span[0] for span in spans]
-    try:
-        ids, starts, offsets, lengths = np.array([span[1:] for span in spans], np.int64).T
-    except OverflowError:
-        return None
-    first = np.array([True] + [a != b for a, b in zip(patients[1:], patients)])  # a new patient
-    named = [p for p, new in zip(patients, first) if new]
-    index = np.arange(len(spans))
-    if (any(a >= b for a, b in zip(named, named[1:]))
-            or np.any(ids != index - np.maximum.accumulate(np.where(first, index, 0)))):
-        return None
-    if (lengths.min() < 1 or lengths.max() > n or offsets[0] != 0
-            or np.any(offsets[1:] != offsets[:-1] + lengths[:-1])
-            or offsets[-1] + lengths[-1] != n):
-        return None
-    if starts.min() < -_STORED_START_MAX or starts.max() > _STORED_START_MAX:
-        return None  # so that no sum below overflows
-    gap = min(partition_gap_minutes, 2**62)
-    last = starts + GRID_MINUTES * (lengths - 1)
-    if np.any(starts % GRID_MINUTES) or np.any((starts[1:] - last[:-1] <= gap) & ~first[1:]):
-        return None
     glucose, exog = block[:n], block[n:]
-    if (np.isnan(glucose[offsets]).any() or np.isnan(glucose[offsets + lengths - 1]).any()
-            or not np.fmin.reduce(glucose) >= GLUCOSE_MIN
-            or not np.fmax.reduce(glucose) <= GLUCOSE_MAX
-            or not exog.min() >= 0.0 or not exog.max() < math.inf):
+    end, last = 0, None  # where the spans so far end, and the last of them
+    for span in spans:
+        if not (isinstance(span, list) and len(span) == 5 and isinstance(span[0], str)
+                and span[0] and all(type(v) is int for v in span[1:])):
+            return None
+        patient, episode_id, start, offset, T = span
+        same = last is not None and last[0] == patient
+        if (offset != end or not 1 <= T <= n - offset
+                or episode_id != (last[1] + 1 if same else 0)
+                or (not same and last is not None and patient <= last[0])
+                or (same and start - last[2] - GRID_MINUTES * (last[4] - 1)
+                    <= partition_gap_minutes)
+                or math.isnan(glucose[offset]) or math.isnan(glucose[offset + T - 1])):
+            return None
+        end, last = offset + T, span
+    if end != n or not np.isfinite(exog).all() or np.any(exog < 0):
         return None
-    # each missing run lies inside one episode, since its edges are present
-    edges = np.flatnonzero(np.diff(np.isnan(glucose).view(np.int8)))
-    if np.any((edges[1::2] - edges[::2] + 1) * GRID_MINUTES > gap):
+    # each missing run lies inside one episode, since every episode's edges are present
+    missing = np.isnan(glucose)
+    edges = np.flatnonzero(missing[1:] != missing[:-1])
+    if np.any((edges[1::2] - edges[::2] + 1) * GRID_MINUTES > min(partition_gap_minutes, 2**62)):
         return None
     try:
         return _episodes(spans, block)
