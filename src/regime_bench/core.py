@@ -239,9 +239,9 @@ def _column_rows(table, runs) -> dict[str, np.ndarray] | None:
     """
     (patients,) = runs
     glucose, exog = table[:, 1], table[:, 2:]
-    present = glucose[~np.isnan(glucose)]
     exog[np.isnan(exog)] = 0.0  # an empty exogenous field reads as 0
-    if (np.any(present < GLUCOSE_MIN) or np.any(present > GLUCOSE_MAX)
+    # a missing glucose value is NaN, which compares false
+    if (np.any(glucose < GLUCOSE_MIN) or np.any(glucose > GLUCOSE_MAX)
             or not np.isfinite(exog).all() or np.any(exog < 0)):
         return None
     ends = [start for _, start in patients[1:]] + [len(table)]
@@ -250,9 +250,10 @@ def _column_rows(table, runs) -> dict[str, np.ndarray] | None:
         parts[patient].append(table[lo:hi])
     rows = {}
     for patient, runs in parts.items():
-        rows[patient] = runs[0] if len(runs) == 1 else np.concatenate(runs)
-        if np.any(np.diff(rows[patient][:, 0]) < 0):  # a decreasing timestamp
+        own = runs[0] if len(runs) == 1 else np.concatenate(runs)
+        if np.any(own[1:, 0] < own[:-1, 0]):  # a decreasing timestamp
             return None
+        rows[patient] = own
     return rows
 
 
@@ -351,7 +352,10 @@ def _cuts(cells: np.ndarray, partition_gap_minutes: int) -> list[tuple[int, int]
     if obs.size == 0:
         return []
     # split where consecutive observations are further apart than the threshold
-    split = np.diff(grid[obs]) * GRID_MINUTES > partition_gap_minutes
+    apart = np.diff(grid[obs])
+    apart *= GRID_MINUTES  # in place: no second temporary as large as the cells
+    split = apart > partition_gap_minutes
+    del apart
     return list(zip(obs[np.append(True, split)].tolist(),
                     (obs[np.append(split, True)] + 1).tolist()))
 
