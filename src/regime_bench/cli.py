@@ -2,7 +2,7 @@
 
 Each command runs in a fresh process, so each imports only the modules it
 runs: at module level this file imports just ``errors`` and ``core``, and
-every ``cmd_*`` (or the helper it calls) imports the rest. Only ``fit``
+every ``cmd_*`` (or the helper it calls) imports the rest; no command
 loads scipy. ``ingest_csv`` stays a name of this module, looked up at call
 time, so that a caller can replace it here. ``export_csv`` stays one as
 well, for callers that look it up here; ``synth`` calls it through its own
@@ -36,8 +36,8 @@ if all(importlib.util.find_spec(name) is not None for name in _BUILTIN_HASHES):
 
 from .core import (  # noqa: E402 - after the BLAS and hash defaults
     EUGLYCEMIC_HIGH, EUGLYCEMIC_LOW, export_csv, ingest_csv, split_mask)
-from .errors import (ConfigError, CoverageError, EstimationError, FitError, IntegrityError, ParseError,
-                     RegimeBenchError)
+from .errors import (ConfigError, CoverageError, DimensionError, EstimationError, FitError,
+                     IntegrityError, ParseError, RegimeBenchError)
 
 # the --method choices, kept here so that building the parser imports no imputers;
 # a test pins them to sorted(imputers.BUILTIN_IMPUTERS)
@@ -91,7 +91,8 @@ def _load_pairs(args):
     """Ingest --input and read --masks; returns (mask metadata, [(episode, mask), ...]).
 
     The mask file defines the episode set, in sorted key order. Each pair must
-    pass the pairing rule of core.split_mask; its error gains the episode's key.
+    pass the pairing rule of core.split_mask; each error names the masks file
+    and the episode.
     """
     from . import masks
 
@@ -102,10 +103,15 @@ def _load_pairs(args):
     for key in sorted(mask_map):
         ep = by_key.get(key)
         if ep is None:
-            raise CoverageError(f"mask references unknown episode {key[0]}/{key[1]}")
+            raise CoverageError(f"{args.masks}: mask references unknown episode {key[0]}/{key[1]}")
         mask = mask_map[key]
-        with _for_episode(key):
-            split_mask(mask.bits, ep.observed)
+        try:
+            with _for_episode(key, args.masks):
+                split_mask(mask.bits, ep.observed)
+        except DimensionError as exc:
+            # --partition-gap decides where an episode ends, and so its length
+            raise DimensionError(f"{exc}: the masks file's lengths do not match the episodes of "
+                                 f"{args.input}; was it made with another --partition-gap?") from exc
         pairs.append((ep, mask))
     return meta, pairs
 
@@ -155,7 +161,7 @@ def cmd_fit(args) -> int:
     from . import missingness
 
     # no name holds the episodes or the block they view, so both are freed before
-    # fit_regimes imports scipy
+    # fit_regimes runs
     gaps, onset = missingness.fit_onsets(ingest_csv(args.input, args.partition_gap))
     print("onset probabilities:", " ".join(f"{p:.4f}" for p in onset))
     try:

@@ -65,7 +65,7 @@ class DurationMixture:
 
     def component_masses(self) -> tuple[float, float, float]:
         """Closed-form integrals of each component over [10, 240]."""
-        from scipy.special import ndtr  # scipy loads only where it is called
+        from .lsq import ndtr  # loaded only where it is called
 
         span = DELTA_MAX - DELTA_MIN_SUSTAINED
         m_exp = self.A * (1.0 - math.exp(-self.k * span)) / self.k
@@ -77,7 +77,7 @@ class DurationMixture:
 
     def cdf(self, x):
         """CDF of the normalized sustained-duration distribution on [10, 240]."""
-        from scipy.special import ndtr
+        from .lsq import ndtr
 
         x = np.clip(np.asarray(x, dtype=float), DELTA_MIN_SUSTAINED, DELTA_MAX)
         span = DELTA_MAX - DELTA_MIN_SUSTAINED
@@ -193,7 +193,7 @@ def fit_duration_density(centers: np.ndarray, values: np.ndarray) -> DurationMix
     The fitted curve is ``DurationMixture.density``, so centers belong on the
     sustained support [10, 240], where its uniform floor applies.
     """
-    from scipy.optimize import least_squares
+    from .lsq import least_squares
 
     centers = np.asarray(centers, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -207,15 +207,15 @@ def fit_duration_density(centers: np.ndarray, values: np.ndarray) -> DurationMix
     lb = np.array([0.0, 1e-6, 0.0, DELTA_MIN_SUSTAINED, 1e-6, 0.0])
     ub = np.array([np.inf, 1.0, np.inf, DELTA_MAX, 120.0, np.inf])
     x0 = np.clip(x0, lb, ub)
-    result = least_squares(
+    x, residuals, status = least_squares(
         lambda th: DurationMixture(*th, 0.0, 0.0, 0.0).density(centers) - values,
-        x0, bounds=(lb, ub), max_nfev=20000,
+        x0, lb, ub, max_nfev=20000,
     )
-    if result.status <= 0:
+    if status <= 0:
         raise ConvergenceError(
-            f"duration fit did not converge (residual norm {np.linalg.norm(result.fun):.3e})"
+            f"duration fit did not converge (residual norm {np.linalg.norm(residuals):.3e})"
         )
-    return make_mixture(*(float(v) for v in result.x))
+    return make_mixture(*(float(v) for v in x))
 
 
 def fit_mixture(gaps: list[GapEvent], regime: str, min_gaps: int = 30) -> DurationMixture:

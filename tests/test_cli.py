@@ -252,12 +252,19 @@ def pipeline(tmp_path_factory, protocol_fixture):
 
 def _unknown_episode(rec):
     rec["patient_id"] = "ghost"
-    return "mask references unknown episode ghost/{episode_id}"
+    return "{masks}: mask references unknown episode ghost/{episode_id}"
+
+
+# the pairing error for masks whose lengths are not those of --input's episodes
+LENGTH_MISMATCH = (
+    "{masks}: mask length {T} != episode length {T_truth} for {patient_id}/{episode_id}: the masks "
+    "file's lengths do not match the episodes of {cgm}; was it made with another --partition-gap?"
+)
 
 
 def _length_mismatch(rec):
     rec["T"] += 1
-    return "mask length {T} != episode length {T_truth} for {patient_id}/{episode_id}"
+    return LENGTH_MISMATCH
 
 
 class TestMaskEpisodePairing:
@@ -269,8 +276,8 @@ class TestMaskEpisodePairing:
         doc = json.loads(pipeline["masks"].read_text())
         rec = doc["masks"][0]
         T_truth = rec["T"]
-        expected = edit(rec).format(T_truth=T_truth, **rec)
         bad = tmp_path / "masks.json"
+        expected = edit(rec).format(T_truth=T_truth, masks=bad, cgm=pipeline["cgm"], **rec)
         bad.write_text(json.dumps(doc))
         extra = {
             "impute": ["--method", "lerp", "--out", tmp_path / "out.csv"],
@@ -281,6 +288,20 @@ class TestMaskEpisodePairing:
         code = run(command, "--input", pipeline["cgm"], "--masks", bad, *extra)
         assert code == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
+
+    def test_another_partition_gap_names_both_files(self, pipeline, tmp_path, capsys):
+        """Masks made on --input's episodes, paired with that file cut by another --partition-gap."""
+        merged = core.ingest_csv(pipeline["cgm"], 5000)[0]
+        assert run("impute", "--input", pipeline["cgm"], "--masks", pipeline["masks"],
+                   "--partition-gap", 5000, "--method", "lerp", "--out", tmp_path / "out.csv") == 1
+        _, mask_map = masks.read_masks_json(pipeline["masks"])
+        key = min(mask_map)
+        assert key == (merged.patient_id, merged.episode_id) and mask_map[key].T < merged.T
+        expected = LENGTH_MISMATCH.format(
+            masks=pipeline["masks"], T=mask_map[key].T, T_truth=merged.T, patient_id=key[0],
+            episode_id=key[1], cgm=pipeline["cgm"])
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestImputeCommand:
@@ -726,7 +747,7 @@ def _scipy_modules_after(code):
 
 
 class TestScipyLoadedOnlyWhereCalled:
-    """Only fit calls scipy; no other path loads it."""
+    """No command loads scipy: fit's least squares and normal CDF are regime_bench.lsq's."""
 
     def test_importing_the_package_loads_no_scipy(self):
         assert _scipy_modules_after("import regime_bench, regime_bench.cli") == "[]"
@@ -748,28 +769,62 @@ class TestScipyLoadedOnlyWhereCalled:
         assert (tmp_path / "eval" / "report.json").exists()
 
 
-class TestFitDropsTheCorpusBeforeScipy:
-    def test_no_episode_is_alive_when_scipy_optimize_loads(self, tmp_path):
-        """scipy's import reuses the corpus's freed memory only if no name still holds it."""
-        model = tmp_path / "bootstrap.json"
-        missingness.save_model(build_injected_model(), model)
-        assert run("synth", "--days", 8, "--hypo-depth", 12, "--noise-std", 1.0, "--seed", 3,
-                   "--gap-model", model, "--gap-seed", 5, "--out", tmp_path) == 0
-        argv = ["fit", "--input", str(tmp_path / "cgm_gapped.csv"), "--min-gaps", "1",
+def _gapped_fixture(root):
+    """An 8-day gapped fixture, drawn from the injected gap model; returns its gapped CGM file."""
+    model = root / "bootstrap.json"
+    missingness.save_model(build_injected_model(), model)
+    assert run("synth", "--days", 8, "--hypo-depth", 12, "--noise-std", 1.0, "--seed", 3,
+               "--gap-model", model, "--gap-seed", 5, "--out", root) == 0
+    return root / "cgm_gapped.csv"
+
+
+class TestFitDropsTheCorpus:
+    def test_fresh_fit_loads_no_scipy_and_holds_no_episode(self, tmp_path):
+        """No name holds the corpus while fit_regimes runs, and no scipy module is loaded."""
+        argv = ["fit", "--input", str(_gapped_fixture(tmp_path)), "--min-gaps", "1",
                 "--out", str(tmp_path / "model.json")]
         code = (
             "import gc, sys\n"
-            "from regime_bench import cli, core\n"
-            "alive = []\n"
-            "class Probe:\n"
-            "    def find_spec(self, name, path=None, target=None):\n"
-            "        if name == 'scipy.optimize' and not alive:\n"
-            "            alive.append(sum(isinstance(o, core.Episode) for o in gc.get_objects()))\n"
-            "sys.meta_path.insert(0, Probe())\n"
+            "from regime_bench import cli, core, missingness\n"
+            "alive, fit_regimes = [], missingness.fit_regimes\n"
+            "def probe(*args, **kwargs):\n"
+            "    alive.append(sum(isinstance(o, core.Episode) for o in gc.get_objects()))\n"
+            "    return fit_regimes(*args, **kwargs)\n"
+            "missingness.fit_regimes = probe\n"
             f"assert cli.main({argv!r}) == 0\n"
-            "print(alive)"
+            "print(alive, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        assert _last_line_of(code) == "[0]"
+        assert _last_line_of(code) == "[0] []"
+
+
+class TestFitWithoutScipy:
+    def test_fit_runs_where_scipy_cannot_be_imported(self, tmp_path):
+        """The same stdout and model.json with scipy refused by an import hook as without it."""
+        out = tmp_path / "model.json"
+        argv = ["fit", "--input", str(_gapped_fixture(tmp_path)), "--min-gaps", "1",
+                "--out", str(out)]
+        runs = {}
+        for refused in (False, True):
+            proc = _fresh(
+                "import sys\n"
+                "class RefuseScipy:\n"
+                "    def find_spec(self, name, path=None, target=None):\n"
+                "        if name.split('.')[0] == 'scipy':\n"
+                "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+                f"if {refused!r}:\n"
+                "    sys.meta_path.insert(0, RefuseScipy())\n"
+                "    try:\n"
+                "        import scipy.optimize\n"
+                "        sys.exit('the hook let scipy through')\n"
+                "    except ModuleNotFoundError:\n"
+                "        pass\n"
+                "from regime_bench.cli import main\n"
+                f"sys.exit(main({argv!r}))"
+            )
+            assert (proc.returncode, proc.stderr) == (0, ""), refused
+            runs[refused] = (proc.stdout, out.read_bytes())
+            out.unlink()
+        assert runs[True] == runs[False]
 
 
 # the variables OpenBLAS reads for its thread count
@@ -783,7 +838,7 @@ class TestBlasThreads:
     def test_cli_import_starts_no_blas_thread(self):
         # this process imported cli, so its own environment already holds the default
         code = ("import os, regime_bench.cli, numpy\n"
-                "from scipy.optimize import least_squares\n"
+                "numpy.linalg.svd(numpy.ones((60, 6)))  # fit's BLAS and LAPACK work\n"
                 "print(len(os.listdir('/proc/self/task')))")
         assert _last_line_of(code, **dict.fromkeys(BLAS_THREAD_VARIABLES)) == "1"
 
@@ -801,12 +856,14 @@ LOADED_ONLY_BY = {
     "regime_bench.synth": {"synth"},
     "regime_bench.metrics": {"evaluate", "calibrate", "report"},
     "regime_bench.imputers": {"impute", "evaluate", "calibrate", "route"},
-    "scipy": {"fit"},
-    # OpenSSL's hashes, megabytes of RSS: cli blocks them, so numpy.random, seed derivation
-    # and scipy take CPython's own, as the read cache's BLAKE2b does
+    "regime_bench.lsq": {"fit"},
+    # fit's least squares and normal CDF are regime_bench.lsq's
+    "scipy": set(),
+    # OpenSSL's hashes, megabytes of RSS: cli blocks them, so numpy.random and seed
+    # derivation take CPython's own, as the read cache's BLAKE2b does
     "_hashlib": set(),
-    # about 13 ms of imports; scipy's least_squares loads it
-    "numpy.ma": {"fit"},
+    # about 13 ms of imports; scipy's least_squares loaded it
+    "numpy.ma": set(),
 }
 
 
@@ -988,7 +1045,7 @@ class TestMaskRetainsNeverObserved:
         assert run(command, "--input", sampled["cgm"], "--masks", sampled["masks"], *extra) == 1
         patient, episode = sampled["first"]
         assert capsys.readouterr().err == (
-            "error: mask retains an index with no ground-truth observation"
+            f"error: {sampled['masks']}: mask retains an index with no ground-truth observation"
             f" for {patient}/{episode}\n"
         )
         assert patient == "synth-001"

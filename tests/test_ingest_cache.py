@@ -257,7 +257,7 @@ class TestHitDoesNoParseWork:
 
 class TestFitFreesTheCorpus:
     def test_block_is_dead_inside_fit_regimes(self, own_cache, tmp_path, monkeypatch):
-        """fit drops the episodes, and so their block, before fit_regimes loads scipy."""
+        """fit drops the episodes, and so their block, before fit_regimes runs."""
         _, gapped = gapped_days(build_injected_model(), 50)
         path = tmp_path / "gapped.csv"
         core.export_csv(gapped, path)
