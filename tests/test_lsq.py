@@ -83,15 +83,6 @@ class TestLeastSquares:
         with pytest.raises(ValueError, match="^Initial guess is outside of provided bounds$"):
             lsq.least_squares(fun, np.zeros(6), LB, UB, 20000)
 
-    def test_fit_duration_density_fits_as_scipy_does(self):
-        from scipy.optimize import least_squares
-
-        values = mixture_histogram(np.random.default_rng(11))
-        fun, x0 = fit_problem(values)
-        x = least_squares(fun, x0, bounds=(LB, UB), max_nfev=20000).x
-        assert repr(mz.fit_duration_density(mz.BIN_CENTERS, values)) == repr(
-            mz.make_mixture(*(float(v) for v in x)))
-
     def test_fit_out_of_evaluations_is_a_convergence_error(self, monkeypatch):
         values = mixture_histogram(np.random.default_rng(11))
         full, runs = lsq.least_squares, []
