@@ -1,5 +1,10 @@
 """Command-line surface: synth, fit, mask, stress, impute, evaluate, calibrate, route, report.
 
+Every command reads its inputs and computes its outputs, then hands them,
+as (name, write) pairs plus any table to print, to one output step,
+``_write_outputs``: the only place that writes a file, creates a directory
+or prints to stdout, but for ``fit``'s onset line.
+
 Each command runs in a fresh process, so each imports only the modules it
 runs: at module level this file imports just ``errors`` and ``core``, and
 every ``cmd_*`` (or the helper it calls) imports the rest; no command
@@ -68,23 +73,53 @@ def _for_episode(key, path=None, errors=RegimeBenchError):
         raise type(exc)(f"{source}{exc} for {key[0]}/{key[1]}") from exc
 
 
-def _write_outputs(out, files, text="") -> None:
-    """Create the --out directory, print text, then write each (name, write) pair as
-    write(out / name) and print that path.
+# the options that name a file that a command reads: no output may overwrite one. Not every
+# string option: `impute --method lerp --out lerp` writes a file named lerp.
+_INPUTS = ("input", "masks", "model", "tcr", "imputed", "external", "windows", "gap_model")
 
-    Each command that writes a directory calls this last, once every input is
-    read and every output computed, so that a command that fails writes nothing
-    and prints nothing to stdout.
+
+def _write_outputs(args, files, text="") -> None:
+    """Write each (name, write) pair as write(path), then print text and the paths written.
+
+    A named pair makes --out a directory, created with its parents, and path
+    --out/name; the name "" hands the write --out itself, and a write that
+    returns a dict wrote the paths that are its values (synth.write_fixture).
+    A file command passes one pair named None: path is --out as typed, and
+    its directory is created; it prints path, or text instead if given
+    (report's table).
+
+    Every command calls this last, once every input is read and every output
+    computed. Before anything is written, an output that resolves to one of
+    the _INPUTS options fails; an OSError fails naming --out. stdout is
+    printed only once every write has succeeded, so a command that fails
+    prints nothing to it, though a directory command whose write fails part way
+    keeps the files written before it.
     """
-    out = Path(out)
+    out = Path(args.out)
+    single = files[0][0] is None
+    paths = [args.out if name is None else out / name for name, _ in files]
+    outputs = {Path(path).resolve() for path in paths}
+    for option in _INPUTS:
+        given = getattr(args, option, None)
+        for value in given if isinstance(given, list) else [given]:
+            if value is not None and Path(value).resolve() in outputs:
+                option = option.replace("_", "-")
+                raise ConfigError(f"--out {args.out} would overwrite --{option} {value}")
+    folder = out.parent if single else out
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        folder.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create the --out directory {out}: {exc.strerror}") from exc
-    print(text, end="")
-    for name, write in files:
-        write(out / name)
-        print(out / name)
+        raise ConfigError(f"cannot create the --out directory {folder}: {exc.strerror}") from exc
+    shown = []
+    for path, (_, write) in zip(paths, files):
+        try:
+            written = write(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {path}: {exc.strerror}") from exc
+        shown.extend(written.values() if isinstance(written, dict) else [path])
+    if single and text:
+        shown = []
+    print(text + "".join(f"{path}\n" for path in shown), end="")
 
 
 def _load_pairs(args):
@@ -152,8 +187,7 @@ def cmd_synth(args) -> int:
 
         model = missingness.load_model(args.gap_model)
         gap_masks = masks.sample_masks(result.episodes, model, args.gap_seed)
-    for path in synth.write_fixture(result, args.out, gap_masks).values():
-        print(path)
+    _write_outputs(args, [("", partial(synth.write_fixture, result, gap_masks=gap_masks))])
     return 0
 
 
@@ -169,8 +203,7 @@ def cmd_fit(args) -> int:
     except (EstimationError, FitError) as exc:
         print(f"error: mixture estimation failed: {exc}", file=sys.stderr)
         return 1
-    missingness.save_model(model, args.out)
-    print(args.out)
+    _write_outputs(args, [(None, partial(missingness.save_model, model))])
     return 0
 
 
@@ -181,8 +214,8 @@ def cmd_mask(args) -> int:
     model = missingness.load_model(args.model)
     samples = masks.sample_masks(episodes, model, args.seed)
     entries = [(ep.patient_id, ep.episode_id, mask) for ep, mask in zip(episodes, samples)]
-    masks.write_masks_json(entries, args.out, provenance="empirical", condition=f"seed={args.seed}")
-    print(args.out)
+    _write_outputs(args, [(None, partial(masks.write_masks_json, entries, provenance="empirical",
+                                         condition=f"seed={args.seed}"))])
     return 0
 
 
@@ -228,7 +261,7 @@ def cmd_stress(args) -> int:
             continue  # protocol C masks only episodes with a hypoglycemic onset
         mask_entries.append((ep.patient_id, ep.episode_id, mask))
         window_entries.extend((ep.patient_id, ep.episode_id, w) for w in windows)
-    _write_outputs(args.out, [
+    _write_outputs(args, [
         ("masks.json", partial(masks.write_masks_json, mask_entries,
                                provenance=f"protocol_{args.protocol}", condition=condition)),
         ("windows.json", partial(protocols.write_windows_json, window_entries,
@@ -249,8 +282,7 @@ def cmd_impute(args) -> int:
         for ep, mask in pairs:
             with _for_episode((ep.patient_id, ep.episode_id)):
                 imputations.append(impute(ep, mask))
-    imputers.write_imputations_csv(imputations, args.out)
-    print(args.out)
+    _write_outputs(args, [(None, partial(imputers.write_imputations_csv, imputations))])
     return 0
 
 
@@ -306,7 +338,7 @@ def cmd_evaluate(args) -> int:
             print(f"evaluate: skipped {skipped} of {len(pairs)} episodes {reason}", file=sys.stderr)
     rows = metrics.aggregate(entries) if entries else []
     table = metrics.render_table(rows)
-    _write_outputs(args.out, [
+    _write_outputs(args, [
         ("report.json", partial(formats.write_json, doc={"groups": rows})),
         ("table.txt", partial(Path.write_text, data=table)),
     ], text=table)
@@ -343,7 +375,7 @@ def cmd_calibrate(args) -> int:
             chunks=(f"{lo:g},{hi:g},{int(n_t)},{int(n_i)}\r\n" for lo, hi, n_t, n_i in bins),
         )))
     files.append(("calibration.json", partial(formats.write_json, doc={"summaries": records})))
-    _write_outputs(args.out, files)
+    _write_outputs(args, files)
     return 0
 
 
@@ -367,7 +399,7 @@ def cmd_route(args) -> int:
             )
         imputations.append(imputation)
         decision_entries.extend((ep.patient_id, ep.episode_id, d) for d in decisions)
-    _write_outputs(args.out, [
+    _write_outputs(args, [
         ("routed.csv", partial(imputers.write_imputations_csv, imputations)),
         ("routing.json", partial(router.write_routing_json, decision_entries)),
     ])
@@ -378,8 +410,7 @@ def cmd_report(args) -> int:
     from . import metrics
 
     table = metrics.render_table(metrics.read_report(args.input))
-    Path(args.out).write_text(table)
-    print(table, end="")
+    _write_outputs(args, [(None, lambda path: Path(path).write_text(table))], text=table)
     return 0
 
 

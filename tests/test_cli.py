@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -1751,6 +1752,7 @@ def _directory_commands(pipeline):
     truth = ["--input", pipeline["cgm"], "--masks", pipeline["masks"]]
     lerp = pipeline["imputed"]["lerp"]
     return {
+        "synth": ["synth", "--days", 2],
         "stress": ["stress", "--input", pipeline["cgm"], "--protocol", "A", "--seed", 1],
         "evaluate": ["evaluate", *truth, "--imputed", lerp, "--windows", pipeline["windows"]],
         "calibrate": ["calibrate", *truth, "--imputed", lerp],
@@ -1762,7 +1764,7 @@ class TestOutThatCannotBeCreated:
     """When --out cannot be made a directory, a command prints nothing to stdout and one error
     line naming --out."""
 
-    @pytest.mark.parametrize("command", ["stress", "evaluate", "calibrate", "route"])
+    @pytest.mark.parametrize("command", ["synth", "stress", "evaluate", "calibrate", "route"])
     @pytest.mark.parametrize("under, reason", [("", "File exists"), ("sub", "Not a directory")],
                              ids=["a file", "under a file"])
     def test_error_names_out(self, pipeline, tmp_path, capsys, command, under, reason):
@@ -1780,3 +1782,141 @@ class TestOutThatCannotBeCreated:
         table = (out / "table.txt").read_text()
         assert table
         assert capsys.readouterr().out == f"{table}{out / 'report.json'}\n{out / 'table.txt'}\n"
+
+
+@pytest.fixture(scope="module")
+def file_inputs(tmp_path_factory, pipeline):
+    """A gapped fixture to fit, a gap model to mask with and a report to re-render."""
+    root = tmp_path_factory.mktemp("cli-file-out")
+    gapped = _gapped_fixture(root)
+    assert run(*_directory_commands(pipeline)["evaluate"], "--out", root / "eval") == 0
+    return {"gapped": gapped, "model": root / "bootstrap.json",
+            "report": root / "eval" / "report.json"}
+
+
+def _file_commands(pipeline, file_inputs):
+    """The arguments, all but --out, of each command whose --out is one file."""
+    return {
+        "fit": ["fit", "--input", file_inputs["gapped"], "--min-gaps", 1],
+        "mask": ["mask", "--input", pipeline["cgm"], "--model", file_inputs["model"], "--seed", 1],
+        "impute": ["impute", "--input", pipeline["cgm"], "--masks", pipeline["masks"],
+                   "--method", "lerp"],
+        "report": ["report", "--input", file_inputs["report"]],
+    }
+
+
+def _tree_bytes(root):
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+class TestFileOutThatCannotBeWritten:
+    """A file command whose --out cannot be written prints one error line naming --out, and
+    nothing to stdout but fit's onset line."""
+
+    @pytest.mark.parametrize("command", ["fit", "mask", "impute", "report"])
+    @pytest.mark.parametrize("case", ["file above", "directory"])
+    def test_error_names_out(self, pipeline, file_inputs, tmp_path, capsys, command, case):
+        blocker = tmp_path / "blocker"
+        if case == "directory":
+            blocker.mkdir()
+            (blocker / "kept.txt").write_text("kept\n")
+            out, error = blocker, f"cannot write --out {blocker}: Is a directory"
+        else:
+            blocker.write_text("kept\n")
+            out = blocker / "out.file"
+            error = f"cannot create the --out directory {blocker}: File exists"
+        before = _tree_bytes(tmp_path)
+        assert run(*_file_commands(pipeline, file_inputs)[command], "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n"
+        if command == "fit":  # pinned: the onset line is printed before anything can fail
+            assert re.fullmatch(r"onset probabilities:( \d\.\d{4})+\n", captured.out)
+        else:
+            assert captured.out == ""
+        assert _tree_bytes(tmp_path) == before
+
+    def test_creates_the_directories_and_prints_out_as_typed(
+            self, pipeline, file_inputs, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(*_file_commands(pipeline, file_inputs)["mask"], "--out", "./sub/dir/m.json") == 0
+        assert capsys.readouterr() == ("./sub/dir/m.json\n", "")
+        _, mask_map = masks.read_masks_json(tmp_path / "sub" / "dir" / "m.json")
+        assert mask_map
+
+
+class TestOutNeverOverwritesAnInput:
+    """An output that would land on one of the command's own input files fails before anything
+    is written, naming --out and the input's option."""
+
+    def _refused(self, capsys, argv, out, option, given, path):
+        before = path.read_bytes()
+        assert run(*argv, "--out", out) == 1
+        error = f"error: --out {out} would overwrite --{option} {given}\n"
+        assert capsys.readouterr() == ("", error)
+        assert path.read_bytes() == before
+
+    def test_impute_over_its_input(self, pipeline, tmp_path, capsys):
+        cgm = tmp_path / "cgm.csv"
+        cgm.write_bytes(pipeline["cgm"].read_bytes())
+        argv = ["impute", "--input", cgm, "--masks", pipeline["masks"], "--method", "lerp"]
+        self._refused(capsys, argv, cgm, "input", cgm, cgm)
+
+    def test_report_over_its_input_by_another_spelling(self, file_inputs, tmp_path, monkeypatch,
+                                                        capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.json").write_bytes(file_inputs["report"].read_bytes())
+        self._refused(capsys, ["report", "--input", "r.json"], "./r.json", "input", "r.json",
+                      tmp_path / "r.json")
+
+    def test_mask_over_its_model(self, pipeline, file_inputs, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes(file_inputs["model"].read_bytes())
+        argv = ["mask", "--input", pipeline["cgm"], "--model", model, "--seed", 1]
+        self._refused(capsys, argv, model, "model", model, model)
+
+    def test_route_over_its_external_file(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "routed"
+        out.mkdir()
+        external = out / "routed.csv"
+        external.write_bytes(pipeline["imputed"]["lerp"].read_bytes())
+        argv = ["route", "--input", pipeline["cgm"], "--masks", pipeline["masks"],
+                "--external", external]
+        self._refused(capsys, argv, out, "external", external, external)
+        assert sorted(out.iterdir()) == [external]
+
+    def test_an_output_named_like_an_option_value_is_fine(self, pipeline, tmp_path, monkeypatch,
+                                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["impute", "--input", pipeline["cgm"], "--masks", pipeline["masks"],
+                "--method", "lerp"]
+        assert run(*argv, "--out", "lerp") == 0
+        assert capsys.readouterr() == ("lerp\n", "")
+        assert (tmp_path / "lerp").read_bytes() == pipeline["imputed"]["lerp"].read_bytes()
+
+
+def _calls(node):
+    """The calls under node, outside any lambda: a lambda's body runs where it is called."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, ast.Lambda):
+            if isinstance(child, ast.Call):
+                yield child
+            yield from _calls(child)
+
+
+def test_only_the_output_step_prints_to_stdout_or_writes():
+    """Every print to stdout in cli.py lies in _write_outputs, but for fit's onset line, and no
+    cmd_* calls a writer itself: each hands its writes to _write_outputs."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    printers, writers = [], []
+    for func in tree.body:
+        for call in _calls(func) if isinstance(func, ast.FunctionDef) else ():
+            name = ast.unparse(call.func)
+            to_stderr = any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                            for kw in call.keywords)
+            if name == "print" and not to_stderr:
+                first = ast.unparse(call.args[0]) if call.args else ""
+                printers.append(func.name if func.name == "_write_outputs" else (func.name, first))
+            if func.name.startswith("cmd_") and re.search(r"(^|\.)(write|save)", name):
+                writers.append((func.name, name))
+    assert set(printers) == {"_write_outputs", ("cmd_fit", "'onset probabilities:'")}
+    assert writers == []
