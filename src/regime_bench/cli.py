@@ -1,9 +1,12 @@
 """Command-line surface: synth, fit, mask, stress, impute, evaluate, calibrate, route, report.
 
 Every command reads its inputs and computes its outputs, then hands them,
-as (name, write) pairs plus any table to print, to one output step,
+as (names, write) pairs plus any table to print, to one output step,
 ``_write_outputs``: the only place that writes a file, creates a directory
-or prints to stdout, but for ``fit``'s onset line.
+or prints to stdout, but for ``fit``'s onset line. Each pair declares the
+files its write fills, so the step knows every output path before its
+first write. An input file that cannot be read fails naming its option,
+as typed.
 
 Each command runs in a fresh process, so each imports only the modules it
 runs: at module level this file imports just ``errors`` and ``core``, and
@@ -78,48 +81,55 @@ def _for_episode(key, path=None, errors=RegimeBenchError):
 _INPUTS = ("input", "masks", "model", "tcr", "imputed", "external", "windows", "gap_model")
 
 
-def _write_outputs(args, files, text="") -> None:
-    """Write each (name, write) pair as write(path), then print text and the paths written.
-
-    A named pair makes --out a directory, created with its parents, and path
-    --out/name; the name "" hands the write --out itself, and a write that
-    returns a dict wrote the paths that are its values (synth.write_fixture).
-    A file command passes one pair named None: path is --out as typed, and
-    its directory is created; it prints path, or text instead if given
-    (report's table).
-
-    Every command calls this last, once every input is read and every output
-    computed. Before anything is written, an output that resolves to one of
-    the _INPUTS options fails; an OSError fails naming --out. stdout is
-    printed only once every write has succeeded, so a command that fails
-    prints nothing to it, though a directory command whose write fails part way
-    keeps the files written before it.
-    """
-    out = Path(args.out)
-    single = files[0][0] is None
-    paths = [args.out if name is None else out / name for name, _ in files]
-    outputs = {Path(path).resolve() for path in paths}
+def _given_inputs(args):
+    """(option, path as typed) for each file of the _INPUTS options that the command was given."""
     for option in _INPUTS:
         given = getattr(args, option, None)
         for value in given if isinstance(given, list) else [given]:
-            if value is not None and Path(value).resolve() in outputs:
-                option = option.replace("_", "-")
-                raise ConfigError(f"--out {args.out} would overwrite --{option} {value}")
+            if value is not None:
+                yield option.replace("_", "-"), value
+
+
+def _write_outputs(args, files, text="") -> None:
+    """Write each (names, write) pair, then print text and every path written.
+
+    Each pair declares the files that its write fills, so every output path
+    is known before anything is written. A file command passes one pair whose
+    names is None: it fills --out itself, passed and printed as typed, and
+    --out's directory is created; text, if given, is printed in place of the
+    path (report's table). Otherwise --out is a directory, created with its
+    parents, and names lists the files that the write fills in it. A write
+    is handed the one path it fills, or --out when it fills several
+    (synth.write_fixture).
+
+    Every command calls this last, once every input is read and every output
+    computed. Before anything is written, an output that resolves to one of
+    the _INPUTS options fails; an OSError fails naming the path the write
+    was handed. stdout is printed only once every write has succeeded, so a
+    command that fails prints nothing to it, though a directory command whose
+    write fails part way keeps the files written before it.
+    """
+    out = Path(args.out)
+    single = files[0][0] is None
+    groups = [[args.out] if names is None else [out / name for name in names]
+              for names, _ in files]
+    paths = [path for group in groups for path in group]
+    outputs = {Path(path).resolve() for path in paths}
+    for option, value in _given_inputs(args):
+        if Path(value).resolve() in outputs:
+            raise ConfigError(f"--out {args.out} would overwrite --{option} {value}")
     folder = out.parent if single else out
     try:
         folder.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create the --out directory {folder}: {exc.strerror}") from exc
-    shown = []
-    for path, (_, write) in zip(paths, files):
+    for group, (_, write) in zip(groups, files):
+        path = group[0] if len(group) == 1 else out
         try:
-            written = write(path)
+            write(path)
         except OSError as exc:
             raise ConfigError(f"cannot write --out {path}: {exc.strerror}") from exc
-        shown.extend(written.values() if isinstance(written, dict) else [path])
-    if single and text:
-        shown = []
-    print(text + "".join(f"{path}\n" for path in shown), end="")
+    print(text + "".join(f"{path}\n" for path in ([] if single and text else paths)), end="")
 
 
 def _load_pairs(args):
@@ -187,7 +197,8 @@ def cmd_synth(args) -> int:
 
         model = missingness.load_model(args.gap_model)
         gap_masks = masks.sample_masks(result.episodes, model, args.gap_seed)
-    _write_outputs(args, [("", partial(synth.write_fixture, result, gap_masks=gap_masks))])
+    names = synth.fixture_names(gap_masks is not None)
+    _write_outputs(args, [(names, partial(synth.write_fixture, result, gap_masks=gap_masks))])
     return 0
 
 
@@ -262,10 +273,10 @@ def cmd_stress(args) -> int:
         mask_entries.append((ep.patient_id, ep.episode_id, mask))
         window_entries.extend((ep.patient_id, ep.episode_id, w) for w in windows)
     _write_outputs(args, [
-        ("masks.json", partial(masks.write_masks_json, mask_entries,
-                               provenance=f"protocol_{args.protocol}", condition=condition)),
-        ("windows.json", partial(protocols.write_windows_json, window_entries,
-                                 protocol=args.protocol, condition=condition)),
+        (["masks.json"], partial(masks.write_masks_json, mask_entries,
+                                 provenance=f"protocol_{args.protocol}", condition=condition)),
+        (["windows.json"], partial(protocols.write_windows_json, window_entries,
+                                   protocol=args.protocol, condition=condition)),
     ])
     return 0
 
@@ -339,8 +350,8 @@ def cmd_evaluate(args) -> int:
     rows = metrics.aggregate(entries) if entries else []
     table = metrics.render_table(rows)
     _write_outputs(args, [
-        ("report.json", partial(formats.write_json, doc={"groups": rows})),
-        ("table.txt", partial(Path.write_text, data=table)),
+        (["report.json"], partial(formats.write_json, doc={"groups": rows})),
+        (["table.txt"], partial(Path.write_text, data=table)),
     ], text=table)
     return 0
 
@@ -362,19 +373,22 @@ def cmd_calibrate(args) -> int:
     regime_filter = _CAL_FILTERS[args.filter]
     edges = metrics.HIST_EDGES
     records, files = [], []
-    for imputations in _load_imputed(args.imputed, pairs):
+    for path, imputations in zip(args.imputed, _load_imputed(args.imputed, pairs)):
         method = imputations[0].method
+        if "/" in method or "\0" in method or method in (".", ".."):
+            raise RegimeBenchError(f"{path}: method {method!r} is not a plain file name, so it "
+                                   "cannot name calibration_<method>.csv")
         triples = [(ep.glucose, imp.values, mask) for (ep, mask), imp in zip(pairs, imputations)]
         summary = metrics.pooled_calibration(triples, regime_filter)
         moments = {name: getattr(summary, name) for name in _CAL_FIELDS}
         records.append({"model": method, "filter": args.filter, **moments})
         bins = zip(edges[:-1], edges[1:], summary.truth_hist, summary.imputed_hist)
-        files.append((f"calibration_{method}.csv", partial(
+        files.append(([f"calibration_{method}.csv"], partial(
             formats.write_lines,
             header=["bin_left", "bin_right", "truth_count", "imputed_count"],
             chunks=(f"{lo:g},{hi:g},{int(n_t)},{int(n_i)}\r\n" for lo, hi, n_t, n_i in bins),
         )))
-    files.append(("calibration.json", partial(formats.write_json, doc={"summaries": records})))
+    files.append((["calibration.json"], partial(formats.write_json, doc={"summaries": records})))
     _write_outputs(args, files)
     return 0
 
@@ -400,8 +414,8 @@ def cmd_route(args) -> int:
         imputations.append(imputation)
         decision_entries.extend((ep.patient_id, ep.episode_id, d) for d in decisions)
     _write_outputs(args, [
-        ("routed.csv", partial(imputers.write_imputations_csv, imputations)),
-        ("routing.json", partial(router.write_routing_json, decision_entries)),
+        (["routed.csv"], partial(imputers.write_imputations_csv, imputations)),
+        (["routing.json"], partial(router.write_routing_json, decision_entries)),
     ])
     return 0
 
@@ -516,6 +530,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unreadable_input(args, exc):
+    """The error line for an OSError on a file of an _INPUTS option, naming it as typed, or None.
+
+    The readers open each path as given, so Path equality finds it (``./a`` is ``a``); resolving
+    would raise RuntimeError on a symlink loop.
+    """
+    if isinstance(exc, OSError) and isinstance(exc.filename, str):
+        for option, value in _given_inputs(args):
+            if Path(value) == Path(exc.filename):
+                return f"cannot read --{option} {value}: {exc.strerror}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -523,7 +550,7 @@ def main(argv=None) -> int:
         _check_worker_cap()
         return args.func(args)
     except (RegimeBenchError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_unreadable_input(args, exc) or exc}", file=sys.stderr)
         return 1
 
 

@@ -224,27 +224,28 @@ def write_labels_csv(result: SynthResult, path) -> None:
     formats.write_lines(path, ["episode_id", "t", "regime"], map(chunk, sorted(result.labels)))
 
 
-def write_fixture(result: SynthResult, out_dir, gap_masks=None) -> dict[str, Path]:
-    """Write cgm.csv, tcr.csv and labels.csv into out_dir; returns their paths in that order.
+def fixture_names(gapped: bool) -> tuple[str, ...]:
+    """The files write_fixture writes, in its order; with gap masks, cgm_gapped.csv last."""
+    return ("cgm.csv", "tcr.csv", "labels.csv", *(("cgm_gapped.csv",) if gapped else ()))
 
-    Given gap_masks, one mask per episode of result, also writes
-    cgm_gapped.csv, its path last: the episodes as masks.apply_mask shows
-    them. Each mask is checked as apply_mask checks it before any file is
-    written, and both CGM files are written in one pass.
+
+def write_fixture(result: SynthResult, out_dir, gap_masks=None) -> dict[str, Path]:
+    """Write fixture_names' files into out_dir; returns their paths, keyed by stem, in that order.
+
+    They are cgm.csv, tcr.csv and labels.csv and, given gap_masks, one mask
+    per episode of result, cgm_gapped.csv: the episodes as
+    masks.apply_mask shows them. Each mask is checked as apply_mask checks
+    it before any file is written, and both CGM files are written in one pass.
     """
     out_dir = Path(out_dir)
-    paths = {
-        "cgm": out_dir / "cgm.csv",
-        "tcr": out_dir / "tcr.csv",
-        "labels": out_dir / "labels.csv",
-    }
+    paths = {name.removesuffix(".csv"): out_dir / name
+             for name in fixture_names(gap_masks is not None)}
     gapped = None
     if gap_masks is not None:
         from . import masks
 
         retained = [masks.retained_by(ep, mask)
                     for ep, mask in zip(result.episodes, gap_masks, strict=True)]
-        paths["cgm_gapped"] = out_dir / "cgm_gapped.csv"
         gapped = (paths["cgm_gapped"], retained)
     out_dir.mkdir(parents=True, exist_ok=True)
     export_csv(result.episodes, paths["cgm"], gapped=gapped)

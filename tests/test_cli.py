@@ -1844,6 +1844,10 @@ class TestFileOutThatCannotBeWritten:
         assert mask_map
 
 
+# what synth --gap-model writes into --out, in the order it prints them
+GAPPED_FIXTURE_FILES = [*FIXTURE_FILES, "cgm_gapped.csv"]
+
+
 class TestOutNeverOverwritesAnInput:
     """An output that would land on one of the command's own input files fails before anything
     is written, naming --out and the input's option."""
@@ -1884,6 +1888,27 @@ class TestOutNeverOverwritesAnInput:
         self._refused(capsys, argv, out, "external", external, external)
         assert sorted(out.iterdir()) == [external]
 
+    @pytest.mark.parametrize("name", GAPPED_FIXTURE_FILES)
+    def test_synth_over_its_gap_model(self, file_inputs, tmp_path, capsys, name):
+        out = tmp_path / "fx"
+        out.mkdir()
+        model = out / name
+        model.write_bytes(file_inputs["model"].read_bytes())
+        self._refused(capsys, ["synth", "--days", 2, "--gap-model", model], out, "gap-model",
+                      model, model)
+        assert sorted(out.iterdir()) == [model]
+
+    def test_synth_beside_its_gap_model_is_fine(self, file_inputs, tmp_path, capsys):
+        out = tmp_path / "fx"
+        out.mkdir()
+        model = out / "model.json"
+        model.write_bytes(file_inputs["model"].read_bytes())
+        assert run("synth", "--days", 2, "--gap-model", model, "--out", out) == 0
+        written = [out / name for name in GAPPED_FIXTURE_FILES]
+        assert capsys.readouterr() == ("".join(f"{path}\n" for path in written), "")
+        assert model.read_bytes() == file_inputs["model"].read_bytes()
+        assert sorted(out.iterdir()) == sorted([model, *written])
+
     def test_an_output_named_like_an_option_value_is_fine(self, pipeline, tmp_path, monkeypatch,
                                                           capsys):
         monkeypatch.chdir(tmp_path)
@@ -1920,3 +1945,58 @@ def test_only_the_output_step_prints_to_stdout_or_writes():
                 writers.append((func.name, name))
     assert set(printers) == {"_write_outputs", ("cmd_fit", "'onset probabilities:'")}
     assert writers == []
+
+
+def _unreadable_inputs(pipeline):
+    """Per case: the arguments, all but --out, of a command given an input it cannot read (run
+    in a directory holding only the directory ``fx``), and the option and path named."""
+    cgm, truth = pipeline["cgm"], ["--input", pipeline["cgm"], "--masks", pipeline["masks"]]
+    return {
+        "mask --model": (["mask", "--input", cgm, "--model", "nope", "--seed", 1], "--model nope"),
+        "fit --input": (["fit", "--input", "fx"], "--input fx"),
+        "stress --tcr": (["stress", "--input", cgm, "--protocol", "C", "--tcr", "./nope.csv",
+                          "--seed", 1], "--tcr ./nope.csv"),
+        "the second --imputed": (["evaluate", *truth, "--imputed", pipeline["imputed"]["lerp"],
+                                  "--imputed", "nope.csv"], "--imputed nope.csv"),
+        "report --input": (["report", "--input", "nope.json"], "--input nope.json"),
+        "synth --gap-model": (["synth", "--days", 2, "--gap-model", "./nope.json"],
+                              "--gap-model ./nope.json"),
+    }
+
+
+class TestUnreadableInputNamesItsOption:
+    """An input file that cannot be read fails with one line naming its option and its path as
+    typed, prints nothing to stdout and leaves no --out."""
+
+    @pytest.mark.parametrize("case", ["mask --model", "fit --input", "stress --tcr",
+                                      "the second --imputed", "report --input",
+                                      "synth --gap-model"])
+    def test_error_names_the_option(self, pipeline, tmp_path, monkeypatch, capsys, case):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fx").mkdir()
+        argv, named = _unreadable_inputs(pipeline)[case]
+        reason = "Is a directory" if case == "fit --input" else "No such file or directory"
+        assert run(*argv, "--out", "out") == 1
+        assert capsys.readouterr() == ("", f"error: cannot read {named}: {reason}\n")
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "fx"]
+
+
+class TestCalibrateMethodIsAFileName:
+    """calibrate writes calibration_<method>.csv, so a method that is not a plain file name fails
+    naming the --imputed file, before anything is written."""
+
+    @pytest.mark.parametrize("method", [
+        "a/b", "..",
+        pytest.param("a\0b", marks=pytest.mark.skipif(
+            sys.version_info < (3, 11), reason="the csv module reads no NUL before Python 3.11")),
+    ])
+    def test_rejected(self, pipeline, tmp_path, capsys, method):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(pipeline["imputed"]["lerp"].read_bytes().replace(
+            b",lerp\r\n", f",{method}\r\n".encode()))
+        out = tmp_path / "cal"
+        assert run("calibrate", "--input", pipeline["cgm"], "--masks", pipeline["masks"],
+                   "--imputed", bad, "--out", out) == 1
+        assert capsys.readouterr() == ("", f"error: {bad}: method {method!r} is not a plain file "
+                                           "name, so it cannot name calibration_<method>.csv\n")
+        assert not out.exists()

@@ -142,6 +142,16 @@ class TestGappedFixture:
         assert not (tmp_path / "fx").exists()
 
 
+class TestFixtureNames:
+    @pytest.mark.parametrize("gapped", [False, True])
+    def test_names_are_the_paths_written(self, tmp_path, gapped):
+        result = synth.generate(synth.SynthConfig(days=2, seed=1))
+        gap_masks = masks.sample_masks(result.episodes, build_injected_model(), 4) if gapped else None
+        paths = synth.write_fixture(result, tmp_path, gap_masks)
+        assert list(paths.values()) == [tmp_path / name for name in synth.fixture_names(gapped)]
+        assert sorted(tmp_path.iterdir()) == sorted(paths.values())
+
+
 def test_drift_period_must_be_positive():
     with pytest.raises(ConfigError, match="^drift_period must be positive$"):
         synth.generate(synth.SynthConfig(days=1, drift_period=0))
