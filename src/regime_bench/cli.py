@@ -45,7 +45,7 @@ if all(importlib.util.find_spec(name) is not None for name in _BUILTIN_HASHES):
 from .core import (  # noqa: E402 - after the BLAS and hash defaults
     EUGLYCEMIC_HIGH, EUGLYCEMIC_LOW, export_csv, ingest_csv, split_mask)
 from .errors import (ConfigError, CoverageError, DimensionError, EstimationError, FitError,
-                     IntegrityError, ParseError, RegimeBenchError)
+                     IntegrityError, RegimeBenchError)
 
 # the --method choices, kept here so that building the parser imports no imputers;
 # a test pins them to sorted(imputers.BUILTIN_IMPUTERS)
@@ -66,14 +66,19 @@ def _check_worker_cap() -> None:
 
 
 @contextmanager
-def _for_episode(key, path=None, errors=RegimeBenchError):
-    """Re-raise a harness error, one of errors, with `` for <patient_id>/<episode_id>``
-    appended, and with ``<path>: `` put before it if path is given."""
+def _naming(errors, before="", after=""):
+    """Re-raise a harness error, one of errors, as its own type with before and after
+    put around its message."""
     try:
         yield
     except errors as exc:
-        source = "" if path is None else f"{path}: "
-        raise type(exc)(f"{source}{exc} for {key[0]}/{key[1]}") from exc
+        raise type(exc)(f"{before}{exc}{after}") from exc
+
+
+def _for_episode(key, path=None, errors=RegimeBenchError):
+    """_naming with `` for <patient_id>/<episode_id>`` after, and ``<path>: `` before if path
+    is given."""
+    return _naming(errors, "" if path is None else f"{path}: ", f" for {key[0]}/{key[1]}")
 
 
 # the options that name a file that a command reads: no output may overwrite one. Not every
@@ -209,11 +214,8 @@ def cmd_fit(args) -> int:
     # fit_regimes runs
     gaps, onset = missingness.fit_onsets(ingest_csv(args.input, args.partition_gap))
     print("onset probabilities:", " ".join(f"{p:.4f}" for p in onset))
-    try:
+    with _naming((EstimationError, FitError), "mixture estimation failed: "):
         model = missingness.fit_regimes(gaps, onset, min_gaps=args.min_gaps)
-    except (EstimationError, FitError) as exc:
-        print(f"error: mixture estimation failed: {exc}", file=sys.stderr)
-        return 1
     _write_outputs(args, [(None, partial(missingness.save_model, model))])
     return 0
 
@@ -297,66 +299,30 @@ def cmd_impute(args) -> int:
     return 0
 
 
-def _check_windows(path, protocol: str, condition: str, pairs) -> None:
-    """Check a --windows file against the masks it came with; ParseError naming it if not.
-
-    Its ``protocol`` and ``condition`` labels and each record's ``protocol``
-    must equal the masks' labels, and each record must name an episode of
-    the masks file and satisfy ``0 <= start_index < end_index <= T``.
-    """
-    from . import protocols
-
-    meta, windows = protocols.read_windows_json(path)
-    for name, want in (("protocol", protocol), ("condition", condition)):
-        if meta.get(name, want) != want:
-            raise ParseError(f"{path}: {name} {meta[name]!r} does not match the masks file's "
-                             f"{want!r}")
-    lengths = {(ep.patient_id, ep.episode_id): mask.T for ep, mask in pairs}
-    for i, (patient, episode, w) in enumerate(windows):
-        T = lengths.get((patient, episode))
-        if T is None:
-            problem = f"episode {patient}/{episode} is not in the masks file"
-        elif w.protocol != protocol:
-            problem = f"protocol {w.protocol!r} does not match the masks file's {protocol!r}"
-        elif not 0 <= w.start_index < w.end_index <= T:
-            problem = (f"expected 0 <= start_index < end_index <= {T}, "
-                       f"got {w.start_index} and {w.end_index}")
-        else:
-            continue
-        raise ParseError(f"{path}: windows[{i}]: {problem}")
-
-
 def cmd_evaluate(args) -> int:
-    from . import formats, metrics
+    from . import metrics
 
     meta, pairs = _load_pairs(args)
     protocol = meta.get("provenance", "empirical").removeprefix("protocol_")
     condition = meta.get("condition", "-")
     if args.windows is not None:
-        _check_windows(args.windows, protocol, condition, pairs)
-    scored = [split_mask(mask.bits, ep.observed)[1].any() for ep, mask in pairs]
-    entries = []
-    for imputations in _load_imputed(args.imputed, pairs):
-        for (ep, mask), imp, score in zip(pairs, imputations, scored):
-            if score:  # an episode with no observed sample masked has nothing to score
-                report = metrics.score_episode(ep.glucose, imp.values, mask)
-                entries.append(((imp.method, protocol, condition), report))
-    hides = [not mask.bits.all() for _, mask in pairs]
-    unobserved = sum(hide and not score for hide, score in zip(hides, scored))
-    for skipped, reason in ((hides.count(False), "with no masked samples"),
+        from . import protocols
+
+        protocols.check_windows(args.windows, protocol, condition, pairs)
+    rows, unmasked, unobserved = metrics.score_pairs(
+        pairs, _load_imputed(args.imputed, pairs), (protocol, condition))
+    for skipped, reason in ((unmasked, "with no masked samples"),
                             (unobserved, "whose masked samples were never observed")):
         if skipped:
             print(f"evaluate: skipped {skipped} of {len(pairs)} episodes {reason}", file=sys.stderr)
-    rows = metrics.aggregate(entries) if entries else []
     table = metrics.render_table(rows)
     _write_outputs(args, [
-        (["report.json"], partial(formats.write_json, doc={"groups": rows})),
+        (["report.json"], partial(metrics.write_report, rows)),
         (["table.txt"], partial(Path.write_text, data=table)),
     ], text=table)
     return 0
 
 
-_CAL_FIELDS = ("n_points", "truth_mean", "truth_std", "imputed_mean", "imputed_std", "delta")
 _CAL_FILTERS = {
     "all": None,
     "below-70": lambda y: y < EUGLYCEMIC_LOW,
@@ -365,30 +331,23 @@ _CAL_FILTERS = {
 
 
 def cmd_calibrate(args) -> int:
-    from . import formats, metrics
+    from . import metrics
 
     _, pairs = _load_pairs(args)
     if not pairs:
         raise CoverageError(f"{args.masks}: no mask records to calibrate")
-    regime_filter = _CAL_FILTERS[args.filter]
-    edges = metrics.HIST_EDGES
-    records, files = [], []
+    summaries, files = [], []
     for path, imputations in zip(args.imputed, _load_imputed(args.imputed, pairs)):
         method = imputations[0].method
         if "/" in method or "\0" in method or method in (".", ".."):
             raise RegimeBenchError(f"{path}: method {method!r} is not a plain file name, so it "
                                    "cannot name calibration_<method>.csv")
         triples = [(ep.glucose, imp.values, mask) for (ep, mask), imp in zip(pairs, imputations)]
-        summary = metrics.pooled_calibration(triples, regime_filter)
-        moments = {name: getattr(summary, name) for name in _CAL_FIELDS}
-        records.append({"model": method, "filter": args.filter, **moments})
-        bins = zip(edges[:-1], edges[1:], summary.truth_hist, summary.imputed_hist)
-        files.append(([f"calibration_{method}.csv"], partial(
-            formats.write_lines,
-            header=["bin_left", "bin_right", "truth_count", "imputed_count"],
-            chunks=(f"{lo:g},{hi:g},{int(n_t)},{int(n_i)}\r\n" for lo, hi, n_t, n_i in bins),
-        )))
-    files.append((["calibration.json"], partial(formats.write_json, doc={"summaries": records})))
+        summary = metrics.pooled_calibration(triples, _CAL_FILTERS[args.filter])
+        summaries.append((method, summary))
+        files.append(([f"calibration_{method}.csv"], partial(metrics.write_calibration_csv, summary)))
+    files.append((["calibration.json"], partial(metrics.write_calibration_json, summaries,
+                                                args.filter)))
     _write_outputs(args, files)
     return 0
 

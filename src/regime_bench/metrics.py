@@ -140,6 +140,25 @@ def score_episode(truth, imputed, mask: Mask) -> MetricsReport:
     )
 
 
+def score_pairs(pairs, imputation_sets, scenario) -> tuple[list[dict], int, int]:
+    """Score each set of imputations on its (episode, mask) pairs and aggregate them.
+
+    imputation_sets yields one list of imputations per method, each aligned
+    with pairs, and is consumed one set at a time; scenario is the
+    (protocol, condition) of every row. An episode whose mask hides no
+    observed sample has nothing to score and is skipped. Returns (rows,
+    unmasked, unobserved): the aggregated rows, [] when nothing is scored,
+    the number of episodes whose mask hides no sample and the number whose
+    masked samples were never observed.
+    """
+    scored = [split_mask(mask.bits, ep.observed)[1].any() for ep, mask in pairs]
+    entries = [((imp.method, *scenario), score_episode(ep.glucose, imp.values, mask))
+               for imputations in imputation_sets
+               for (ep, mask), imp, score in zip(pairs, imputations, scored) if score]
+    hiding = sum(not mask.bits.all() for _, mask in pairs)  # a scored episode hides something
+    return aggregate(entries) if entries else [], len(pairs) - hiding, hiding - sum(scored)
+
+
 def _summarize(y: np.ndarray, y_hat: np.ndarray) -> CalibrationSummary:
     truth_hist = np.histogram(np.clip(y, GLUCOSE_MIN, GLUCOSE_MAX), bins=HIST_EDGES)[0]
     imputed_hist = np.histogram(np.clip(y_hat, GLUCOSE_MIN, GLUCOSE_MAX), bins=HIST_EDGES)[0]
@@ -178,6 +197,25 @@ def pooled_calibration(triples, regime_filter=None) -> CalibrationSummary:
     if y.size == 0:
         raise MetricDomainError("no masked indices fall in the requested regime")
     return _summarize(y, y_hat)
+
+
+# the fields of each calibration.json record after its model and filter
+_CALIBRATION_FIELDS = ("n_points", "truth_mean", "truth_std", "imputed_mean", "imputed_std", "delta")
+
+
+def write_calibration_json(summaries, filter_name: str, path) -> None:
+    """Write one record per (model, CalibrationSummary) of summaries, each labelled filter_name."""
+    records = [{"model": model, "filter": filter_name,
+                **{name: getattr(summary, name) for name in _CALIBRATION_FIELDS}}
+               for model, summary in summaries]
+    formats.write_json(path, {"summaries": records})
+
+
+def write_calibration_csv(summary: CalibrationSummary, path) -> None:
+    """Write the truth and imputed histograms, one row per HIST_EDGES bin."""
+    bins = zip(HIST_EDGES[:-1], HIST_EDGES[1:], summary.truth_hist, summary.imputed_hist)
+    formats.write_lines(path, ["bin_left", "bin_right", "truth_count", "imputed_count"],
+                        (f"{lo:g},{hi:g},{int(n_t)},{int(n_i)}\r\n" for lo, hi, n_t, n_i in bins))
 
 
 def _by_scenario(rows: list[dict]) -> dict[tuple, list[dict]]:
@@ -257,6 +295,11 @@ _GROUP_FIELDS = {
     "model": str, "protocol": str, "condition": str, "n_episodes": int,
     **dict.fromkeys(METRIC_FIELDS, (int, float)), "best": list, "second": list,
 }
+
+
+def write_report(rows: list[dict], path) -> None:
+    """Write aggregate's rows as the groups of a report.json."""
+    formats.write_json(path, {"groups": rows})
 
 
 def read_report(path) -> list[dict]:

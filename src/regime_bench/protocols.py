@@ -290,6 +290,35 @@ def read_windows_json(path):
     return formats.read_records(path, "windows", _window_record, ("protocol", "condition"))
 
 
+def check_windows(path, protocol: str, condition: str, pairs) -> None:
+    """Check a windows file against the masks it came with; ParseError naming it if not.
+
+    Its ``protocol`` and ``condition`` labels and each record's ``protocol``
+    must equal the masks' labels, and each record must name an episode of
+    pairs, the masks' (episode, mask) pairs, and satisfy
+    ``0 <= start_index < end_index <= T``. The labels are checked first,
+    then the records in file order.
+    """
+    meta, windows = read_windows_json(path)
+    for name, want in (("protocol", protocol), ("condition", condition)):
+        if meta.get(name, want) != want:
+            raise ParseError(f"{path}: {name} {meta[name]!r} does not match the masks file's "
+                             f"{want!r}")
+    lengths = {(ep.patient_id, ep.episode_id): mask.T for ep, mask in pairs}
+    for i, (patient, episode, w) in enumerate(windows):
+        T = lengths.get((patient, episode))
+        if T is None:
+            problem = f"episode {patient}/{episode} is not in the masks file"
+        elif w.protocol != protocol:
+            problem = f"protocol {w.protocol!r} does not match the masks file's {protocol!r}"
+        elif not 0 <= w.start_index < w.end_index <= T:
+            problem = (f"expected 0 <= start_index < end_index <= {T}, "
+                       f"got {w.start_index} and {w.end_index}")
+        else:
+            continue
+        raise ParseError(f"{path}: windows[{i}]: {problem}")
+
+
 # a window record's fields and their JSON types; the optional ones may also be null or absent
 _WINDOW_FIELDS = (("patient_id", str), ("episode_id", int), ("protocol", str),
                   ("start_index", int), ("end_index", int))
