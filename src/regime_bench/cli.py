@@ -8,6 +8,13 @@ files its write fills, so the step knows every output path before its
 first write. An input file that cannot be read fails naming its option,
 as typed.
 
+A command parses its arguments, loads its inputs, composes library calls
+and runs the output step. It lays out no file and checks none: each file's
+layout and rules belong to the module that owns its data (``metrics``
+scores and writes the report and calibration files, ``protocols`` checks a
+windows file, ``masks`` reads a masks file). Every error reaches ``main``,
+which prints the one ``error:`` line.
+
 Each command runs in a fresh process, so each imports only the modules it
 runs: at module level this file imports just ``errors`` and ``core``, and
 every ``cmd_*`` (or the helper it calls) imports the rest; no command
@@ -45,7 +52,7 @@ if all(importlib.util.find_spec(name) is not None for name in _BUILTIN_HASHES):
 from .core import (  # noqa: E402 - after the BLAS and hash defaults
     EUGLYCEMIC_HIGH, EUGLYCEMIC_LOW, export_csv, ingest_csv, split_mask)
 from .errors import (ConfigError, CoverageError, DimensionError, EstimationError, FitError,
-                     IntegrityError, RegimeBenchError)
+                     IntegrityError, MetricDomainError, RegimeBenchError)
 
 # the --method choices, kept here so that building the parser imports no imputers;
 # a test pins them to sorted(imputers.BUILTIN_IMPUTERS)
@@ -142,21 +149,22 @@ def _load_pairs(args):
 
     The mask file defines the episode set, in sorted key order. Each pair must
     pass the pairing rule of core.split_mask; each error names the masks file
-    and the episode.
+    and the episode. A record's bits are built only once its T is the
+    episode's length, so a T that no episode has allocates nothing.
     """
     from . import masks
 
     episodes = ingest_csv(args.input, args.partition_gap)
-    meta, mask_map = masks.read_masks_json(args.masks)
+    meta, records = masks._read_mask_records(args.masks)
     by_key = {(ep.patient_id, ep.episode_id): ep for ep in episodes}
     pairs = []
-    for key in sorted(mask_map):
+    for key in sorted(records):
         ep = by_key.get(key)
         if ep is None:
             raise CoverageError(f"{args.masks}: mask references unknown episode {key[0]}/{key[1]}")
-        mask = mask_map[key]
         try:
             with _for_episode(key, args.masks):
+                mask = records[key].mask(ep.T)
                 split_mask(mask.bits, ep.observed)
         except DimensionError as exc:
             # --partition-gap decides where an episode ends, and so its length
@@ -212,7 +220,8 @@ def cmd_fit(args) -> int:
 
     # no name holds the episodes or the block they view, so both are freed before
     # fit_regimes runs
-    gaps, onset = missingness.fit_onsets(ingest_csv(args.input, args.partition_gap))
+    with _naming(EstimationError, f"{args.input}: "):
+        gaps, onset = missingness.fit_onsets(ingest_csv(args.input, args.partition_gap))
     print("onset probabilities:", " ".join(f"{p:.4f}" for p in onset))
     with _naming((EstimationError, FitError), "mixture estimation failed: "):
         model = missingness.fit_regimes(gaps, onset, min_gaps=args.min_gaps)
@@ -267,8 +276,10 @@ def cmd_stress(args) -> int:
     condition = _CONDITIONS[args.protocol].format(**vars(args))
     mask_entries, window_entries = [], []
     for ep in episodes:
-        # every protocol needs complete glucose; its IntegrityError names the input and episode
-        with _for_episode((ep.patient_id, ep.episode_id), args.input, IntegrityError):
+        # every protocol needs complete glucose, and protocol A's gradient two samples; either
+        # error names the input and the episode
+        with _for_episode((ep.patient_id, ep.episode_id), args.input,
+                          (IntegrityError, DimensionError)):
             mask, windows = _protocol_mask(args, ep, tcr_map)
         if args.protocol == "C" and not windows:
             continue  # protocol C masks only episodes with a hypoglycemic onset
@@ -343,7 +354,8 @@ def cmd_calibrate(args) -> int:
             raise RegimeBenchError(f"{path}: method {method!r} is not a plain file name, so it "
                                    "cannot name calibration_<method>.csv")
         triples = [(ep.glucose, imp.values, mask) for (ep, mask), imp in zip(pairs, imputations)]
-        summary = metrics.pooled_calibration(triples, _CAL_FILTERS[args.filter])
+        with _naming(MetricDomainError, f"{path}: ", f" (--filter {args.filter})"):
+            summary = metrics.pooled_calibration(triples, _CAL_FILTERS[args.filter])
         summaries.append((method, summary))
         files.append(([f"calibration_{method}.csv"], partial(metrics.write_calibration_csv, summary)))
     files.append((["calibration.json"], partial(metrics.write_calibration_json, summaries,

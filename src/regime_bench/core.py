@@ -132,14 +132,22 @@ def split_mask(bits, observed) -> tuple[np.ndarray, np.ndarray]:
     return retained, ~retained & observed
 
 
-def runs_to_bits(T: int, runs) -> np.ndarray:
-    """Retention bits of length T with every (start, length) run set to 0."""
-    bits = np.ones(T, dtype=np.uint8)
+def check_runs(T: int, runs) -> None:
+    """Raise DimensionError, naming the first bad run, unless every (start, length) run is
+    non-empty and lies inside [0, T). Allocates nothing of size T."""
     for start, length in runs:
         if length < 1:
             raise DimensionError(f"run ({start}, {length}) has non-positive length")
         if start < 0 or start + length > T:
             raise DimensionError(f"run ({start}, {length}) exceeds mask length {T}")
+
+
+def runs_to_bits(T: int, runs) -> np.ndarray:
+    """Retention bits of length T with every (start, length) run set to 0, once check_runs
+    has passed them."""
+    check_runs(T, runs)
+    bits = np.ones(T, dtype=np.uint8)
+    for start, length in runs:
         bits[start : start + length] = 0
     return bits
 

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import formats
-from .core import Episode, bits_to_runs, runs_to_bits, split_mask
+from .core import Episode, bits_to_runs, check_runs, runs_to_bits, split_mask
 from .errors import DimensionError, IntegrityError, ParseError
 from .missingness import (
     DELTA_MAX,
@@ -45,14 +46,18 @@ class Mask:
         bits = np.ascontiguousarray(self.bits, dtype=np.uint8)
         if bits.ndim != 1 or bits.size < 1:
             raise DimensionError("mask bits must be a 1-D vector with T >= 1")
-        if self.provenance not in PROVENANCES:
-            raise DimensionError(f"unknown provenance {self.provenance!r}")
+        _check_provenance(self.provenance)
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
 
     @property
     def T(self) -> int:
         return self.bits.size
+
+
+def _check_provenance(provenance) -> None:
+    if provenance not in PROVENANCES:
+        raise DimensionError(f"unknown provenance {provenance!r}")
 
 
 def round5(x: float) -> int:
@@ -218,7 +223,22 @@ def write_masks_json(entries, path, provenance: str = "empirical", condition: st
     formats.write_json(path, doc)
 
 
-def _mask_record(rec) -> tuple[tuple[str, int], Mask]:
+class _MaskRecord(NamedTuple):
+    """A masks record as read: every field checked, its runs against T, but no bits built."""
+
+    T: int
+    runs: list
+    seed: int
+    provenance: str
+
+    def mask(self, T: int) -> Mask:
+        """The record's Mask, built only once T, its episode's length, equals the record's."""
+        if T != self.T:
+            raise DimensionError(f"mask length {self.T} != episode length {T}")
+        return Mask(runs_to_bits(T, self.runs), seed=self.seed, provenance=self.provenance)
+
+
+def _mask_record(rec) -> tuple[tuple[str, int], _MaskRecord]:
     patient = formats.record_field(rec, "patient_id", str)
     key = (patient, formats.record_field(rec, "episode_id", int))
     T = rec["T"]
@@ -230,8 +250,10 @@ def _mask_record(rec) -> tuple[tuple[str, int], Mask]:
     if any(type(v) is not int for v in [T, *(x for run in runs for x in run)]) or T < 1:
         raise ParseError("T, start_index and length_samples must be integers, with T >= 1")
     seed = formats.record_field(rec, "seed", int) if "seed" in rec else 0
-    bits = runs_to_bits(T, runs)
-    return key, Mask(bits, seed=seed, provenance=rec.get("provenance", "empirical"))
+    check_runs(T, runs)
+    provenance = rec.get("provenance", "empirical")
+    _check_provenance(provenance)
+    return key, _MaskRecord(T, runs, seed, provenance)
 
 
 def read_masks_json(path):
@@ -243,16 +265,26 @@ def read_masks_json(path):
     ``provenance`` outside PROVENANCES, and a record whose ``provenance``
     differs from the document's (each defaults to ``empirical``).
     """
+    meta, records = _read_mask_records(path)
+    return meta, {key: record.mask(record.T) for key, record in records.items()}
+
+
+def _read_mask_records(path):
+    """read_masks_json with each record's bits not yet built: (metadata, {key: _MaskRecord}).
+
+    A record's T is trusted only once it is paired with its episode; so cli
+    reads masks through this and builds each Mask with that episode's length.
+    """
     meta, records = formats.read_records(path, "masks", _mask_record, ("provenance", "condition"))
     provenance = meta.get("provenance", "empirical")
     if provenance not in PROVENANCES:
         raise ParseError(f"{path}: unknown provenance {provenance!r}")
     masks = {}
-    for i, (key, mask) in enumerate(records):
-        if mask.provenance != provenance:
-            raise ParseError(f"{path}: masks[{i}]: provenance {mask.provenance!r} does not "
+    for i, (key, record) in enumerate(records):
+        if record.provenance != provenance:
+            raise ParseError(f"{path}: masks[{i}]: provenance {record.provenance!r} does not "
                              f"match the document's {provenance!r}")
         if key in masks:
             raise ParseError(f"{path}: masks[{i}]: duplicate record for {key[0]}/{key[1]}")
-        masks[key] = mask
+        masks[key] = record
     return meta, masks

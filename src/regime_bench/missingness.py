@@ -126,9 +126,12 @@ def valid_days(episodes: list[Episode]) -> set[tuple[str, int]]:
     """Days with at least half of the 288 expected samples observed."""
     counts: dict[tuple[str, int], int] = {}
     for ep in episodes:
-        days = (ep.start_minute + 5 * np.flatnonzero(ep.observed)) // 1440
+        # as Episode.day_at, with the whole days of start_minute kept out of the array: a
+        # start_minute may be beyond int64
+        first_day, minute = divmod(ep.start_minute, 1440)
+        days = (minute + 5 * np.flatnonzero(ep.observed)) // 1440
         for day, n in zip(*np.unique(days, return_counts=True)):
-            key = (ep.patient_id, int(day))
+            key = (ep.patient_id, first_day + int(day))
             counts[key] = counts.get(key, 0) + int(n)
     threshold = VALID_DAY_FRACTION * SAMPLES_PER_DAY
     return {key for key, n in counts.items() if n >= threshold}

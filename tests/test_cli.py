@@ -2000,3 +2000,51 @@ class TestCalibrateMethodIsAFileName:
         assert capsys.readouterr() == ("", f"error: {bad}: method {method!r} is not a plain file "
                                            "name, so it cannot name calibration_<method>.csv\n")
         assert not out.exists()
+
+
+class TestErrorsNameTheirSource:
+    """Inputs that the library rejects without naming a file: the command's one error line
+    names the input it came from, prints nothing to stdout and leaves no --out."""
+
+    def test_one_sample_episode_under_protocol_a(self, tmp_path, capsys):
+        cgm = tmp_path / "one.csv"
+        cgm.write_bytes(b"patient_id,timestamp,glucose,carbs,bolus,basal\r\np1,0,100,0,0,0\r\n")
+        out = tmp_path / "A"
+        assert run("stress", "--input", cgm, "--protocol", "A", "--seed", 1, "--out", out) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {cgm}: gradient needs a span of at least 2 samples for p1/0\n")
+        assert not out.exists()
+
+    def test_fit_on_a_timestamp_beyond_int64(self, tmp_path, capsys):
+        cgm = tmp_path / "big.csv"
+        cgm.write_text(f"patient_id,timestamp,glucose,carbs,bolus,basal\np1,{10**20},100,0,0,0\n")
+        out = tmp_path / "model.json"
+        assert run("fit", "--input", cgm, "--min-gaps", 1, "--out", out) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {cgm}: cannot estimate onset probabilities without valid days\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["impute", "evaluate", "calibrate", "route"])
+    def test_mask_length_no_episode_has(self, pipeline, tmp_path, capsys, command):
+        # numpy refuses an array of 10**18 bytes at once; the pairing must fail before that
+        doc = json.loads(pipeline["masks"].read_text())
+        rec = doc["masks"][0]
+        T_truth, rec["T"] = rec["T"], 10**18
+        bad = tmp_path / "masks.json"
+        bad.write_text(json.dumps(doc))
+        extra = {"impute": ["--method", "lerp"], "evaluate": ["--imputed", pipeline["imputed"]["lerp"]],
+                 "calibrate": ["--imputed", pipeline["imputed"]["lerp"]], "route": []}[command]
+        out = tmp_path / "out"
+        assert run(command, "--input", pipeline["cgm"], "--masks", bad, *extra, "--out", out) == 1
+        expected = LENGTH_MISMATCH.format(T_truth=T_truth, masks=bad, cgm=pipeline["cgm"], **rec)
+        assert capsys.readouterr() == ("", f"error: {expected}\n")
+        assert not out.exists()
+
+    def test_calibration_with_nothing_in_the_regime(self, pipeline, tmp_path, capsys):
+        # protocol A masks only stable windows, whose truth stays between 70 and 140
+        lerp, out = pipeline["imputed"]["lerp"], tmp_path / "cal"
+        assert run("calibrate", "--input", pipeline["cgm"], "--masks", pipeline["masks"],
+                   "--imputed", lerp, "--filter", "below-70", "--out", out) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {lerp}: no masked indices fall in the requested regime (--filter below-70)\n")
+        assert not out.exists()
