@@ -155,9 +155,14 @@ def runs_to_bits(T: int, runs) -> np.ndarray:
 def _parse_timestamp(text: str) -> float:
     text = text.strip()
     try:
-        return float(int(text))
-    except (ValueError, OverflowError):  # not an integer, or too large for a float
+        minute = int(text)
+    except ValueError:  # not an integer: a date and time
         pass
+    else:
+        # a minute that float64 rounds (or overflows to inf) would merge with its neighbours
+        if float(text) != minute:
+            raise ParseError(f"bad timestamp {text!r}: float64 does not hold it exactly")
+        return float(text)
     try:
         stamp = text.replace("Z", "+00:00") if text.endswith("Z") else text
         dt = datetime.fromisoformat(stamp)
@@ -185,15 +190,14 @@ def ingest_csv(path, partition_gap_minutes: int) -> list[Episode]:
     than partition_gap_minutes apart. Exogenous channels are zero-filled on
     grid points without an event. A file in canonical form is read as
     columns, and its episodes are cached by formats.read_columns as one
-    block, served again once _block_episodes' checks pass; the row reader
-    reads every other file and raises every error. The episodes are
-    read-only views of one block (see _partition).
+    block, served again as stored; the row reader reads every other file
+    and raises every error. The episodes are read-only views of one block
+    (see _partition).
     """
     if partition_gap_minutes <= 0:
         raise ParseError("partition_gap_minutes must be positive")
     finish = formats.Finish(__file__, (partition_gap_minutes,),
-                            partial(_columns_block, partition_gap_minutes),
-                            partial(_block_episodes, partition_gap_minutes))
+                            partial(_columns_block, partition_gap_minutes), _episodes)
     episodes = formats.read_columns(path, CGM_HEADER, "tiffff", finish)
     if episodes is None:
         episodes = _episodes(*_partition(_read_rows(path), partition_gap_minutes))
@@ -268,10 +272,7 @@ def _column_rows(table, runs) -> dict[str, np.ndarray] | None:
 def _columns_block(partition_gap_minutes: int, table, runs):
     """read_columns' make: the (doc, block) of _partition for a canonical file, or None."""
     rows = _column_rows(table, runs)
-    if rows is None:
-        return None
-    spans, block = _partition(rows, partition_gap_minutes)
-    return {"episodes": spans}, block
+    return None if rows is None else _partition(rows, partition_gap_minutes)
 
 
 def _last_per_cell(cell: np.ndarray, values: np.ndarray, keep: np.ndarray, fill: float):
@@ -327,12 +328,13 @@ def _partition(rows: dict[str, np.ndarray], partition_gap_minutes: int):
     """Each patient's rows, in patient order, merged into grid cells and cut into episodes.
 
     The rows, which must be writable, become the cells (see _merge_cells).
-    Returns the episodes' ``[patient_id, episode_id, start_minute, offset, T]``
-    spans and one float64 block of 4 * N values, N being their total T: every
-    glucose value, then every (carbs, bolus, basal) row; an episode's are
-    those from its offset to its offset + T in each part. Grid points with
-    no cell read NaN glucose and zero exogenous values. The block is filled
-    in place, with no array per episode.
+    Returns ``{"episodes": spans}``, each span an episode's ``[patient_id,
+    episode_id, start_minute, offset, T]``, and one float64 block of 4 * N
+    values, N being their total T: every glucose value, then every (carbs,
+    bolus, basal) row; an episode's are those from its offset to its offset
+    + T in each part. Grid points with no cell read NaN glucose and zero
+    exogenous values. The block is filled in place, with no array per
+    episode.
     """
     spans, pieces, n = [], [], 0
     for patient in sorted(rows):
@@ -349,7 +351,7 @@ def _partition(rows: dict[str, np.ndarray], partition_gap_minutes: int):
         t = offset + (piece[:, 0] - piece[0, 0]).astype(np.intp)
         glucose[t] = piece[:, 1]
         exog[t] = piece[:, 2:]
-    return spans, block
+    return {"episodes": spans}, block
 
 
 def _cuts(cells: np.ndarray, partition_gap_minutes: int) -> list[tuple[int, int]]:
@@ -368,61 +370,14 @@ def _cuts(cells: np.ndarray, partition_gap_minutes: int) -> list[tuple[int, int]
                     (obs[np.append(split, True)] + 1).tolist()))
 
 
-def _episodes(spans, block: np.ndarray) -> list[Episode]:
-    """The episodes of _partition's spans, as read-only views of its block."""
+def _episodes(doc: dict, block: np.ndarray) -> list[Episode]:
+    """The episodes of _partition's doc and block, as read-only views of the block."""
     n = block.size // 4
     glucose, exog = block[:n], block[n:].reshape(n, 3)
     block.flags.writeable = False
     return [Episode(patient, episode_id, start, glucose[lo : lo + T], exog[lo : lo + T],
                     ~np.isnan(glucose[lo : lo + T]))
-            for patient, episode_id, start, lo, T in spans]
-
-
-def _block_episodes(partition_gap_minutes: int, doc: dict, block: np.ndarray):
-    """read_columns' load: the episodes of a (doc, block) from _columns_block, or None
-    when it fails a check.
-
-    Checked: each span is ``[patient_id, episode_id, start_minute, offset,
-    T]``, a non-empty id and four integers; patients come in sorted order,
-    each with ids 0, 1, ...; the offsets increase and cover the block, and
-    every T is at least 1; within each patient each episode starts more
-    than the gap after the previous one's last sample; glucose is present
-    at each episode's first and last sample, and inside an episode no two
-    consecutive observations are more than the gap apart; exogenous values
-    are finite and >= 0; and every Episode invariant holds, which puts each
-    start on the 5-minute grid and glucose in [20, 500].
-    """
-    spans = doc.get("episodes")
-    if block.ndim != 1 or block.size % 4 or not isinstance(spans, list):
-        return None
-    n = block.size // 4
-    glucose, exog = block[:n], block[n:]
-    end, last = 0, None  # where the spans so far end, and the last of them
-    for span in spans:
-        if not (isinstance(span, list) and len(span) == 5 and isinstance(span[0], str)
-                and span[0] and all(type(v) is int for v in span[1:])):
-            return None
-        patient, episode_id, start, offset, T = span
-        same = last is not None and last[0] == patient
-        if (offset != end or not 1 <= T <= n - offset
-                or episode_id != (last[1] + 1 if same else 0)
-                or (not same and last is not None and patient <= last[0])
-                or (same and start - last[2] - GRID_MINUTES * (last[4] - 1)
-                    <= partition_gap_minutes)
-                or math.isnan(glucose[offset]) or math.isnan(glucose[offset + T - 1])):
-            return None
-        end, last = offset + T, span
-    if end != n or not np.isfinite(exog).all() or np.any(exog < 0):
-        return None
-    # each missing run lies inside one episode, since every episode's edges are present
-    missing = np.isnan(glucose)
-    edges = np.flatnonzero(missing[1:] != missing[:-1])
-    if np.any((edges[1::2] - edges[::2] + 1) * GRID_MINUTES > min(partition_gap_minutes, 2**62)):
-        return None
-    try:
-        return _episodes(spans, block)
-    except (DimensionError, IntegrityError):
-        return None
+            for patient, episode_id, start, lo, T in doc["episodes"]]
 
 
 def export_csv(episodes: list[Episode], path, gapped=None) -> None:

@@ -21,8 +21,9 @@ that need quoting included. The caller's row reader reads what it declines,
 so every error that names a line comes from ``read_csv``. Each file is
 parsed once per content: ``read_columns`` keeps its results in a cache
 directory keyed by a hash of the file's bytes and of this module's code, and
-serves a repeat read from there with the same arrays. A caller may pass a
-``Finish``, what it makes of the arrays; then that is what is cached.
+serves a repeat read from there with the same arrays, once the entry's CRC-32
+shows that it is exactly what was stored. A caller may pass a ``Finish``,
+what it makes of the arrays; then that is what is cached.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import json
 import math
 import os
 import sys
+import zlib
 from contextlib import contextmanager, suppress
-from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -207,10 +208,11 @@ _FORBIDDEN[[0x00, 0x09, 0x0B, 0x0C, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x22]] = True
 class Finish(NamedTuple):
     """What a caller makes of read_columns' table and runs, cached in their place.
 
-    make(table, runs) returns (doc, array): a JSON object and a float64
-    array that together hold the caller's result, or None to decline the
-    file. load(doc, array) returns that result, or None when the two fail
-    the caller's checks. The cache key also holds params and the code of
+    make(table, runs) returns (doc, array): a JSON object and a C-contiguous
+    float64 array that together hold the caller's result, or None to decline
+    the file. load(doc, array) returns that result; it is handed only what
+    make returned, or an entry whose checksum shows it to be that, so it
+    checks nothing again. The cache key also holds params and the code of
     the module at path source, so an entry holds for that code and those
     parameters only.
     """
@@ -242,18 +244,18 @@ def read_columns(path, header: list[str], kinds: str, finish: Finish | None = No
     A file in that form reads to the same values through csv.reader.
 
     With finish, the result is ``finish.load(*finish.make(table, runs))``
-    instead, and None when make declines or load fails; that result, or the
-    decline, is what is cached.
+    instead, and None when make declines; that result, or the decline, is
+    what is cached.
 
     The file is read once to hash its bytes. A result cached under that
-    hash is returned as it was stored, once load accepts it (see
-    ``_cache_dir``); otherwise the file's lines are counted and it is read
+    hash is returned as it was stored when the entry's CRC-32 matches (see
+    ``_load_entry``); otherwise the file's lines are counted and it is read
     again in blocks of 128 KiB parsed into the preallocated table, so
     memory stays at the table plus one block's temporaries, and a canonical
     file's result is cached.
     """
     if finish is None:
-        finish = Finish(None, (), _table_doc, partial(_table_of, kinds))
+        finish = Finish(None, (), _table_doc, _table_of)
     code = Path(__file__).read_bytes()
     if finish.source:
         code += Path(finish.source).read_bytes()
@@ -270,8 +272,8 @@ def read_columns(path, header: list[str], kinds: str, finish: Finish | None = No
             stored = _load_entry(entry) if entry else None
             if stored is _DECLINED:
                 return None
-            if stored is not None and (result := finish.load(*stored)) is not None:
-                return result
+            if stored is not None:
+                return finish.load(*stored)
             columns = _parse(fh, ",".join(header).encode(), kinds)
     except OSError:
         return None
@@ -293,16 +295,9 @@ def _table_doc(table, runs):
     return {"runs": runs}, table
 
 
-def _table_of(kinds: str, doc: dict, table: np.ndarray):
-    """(table, runs) from an entry's (doc, array); None unless they fit kinds."""
-    try:
-        runs = [[(text, row) for text, row in column] for column in doc["runs"]]
-    except (KeyError, TypeError, ValueError):
-        return None
-    if table.ndim != 2 or table.shape[1] != len(kinds) - kinds.count("t") \
-            or len(runs) != kinds.count("t"):
-        return None
-    return table, runs
+def _table_of(doc: dict, table: np.ndarray):
+    """(table, runs) from an entry's (doc, array): JSON holds each run as a list."""
+    return table, [[(text, row) for text, row in column] for column in doc["runs"]]
 
 
 def _parse(fh, head: bytes, kinds: str):
@@ -353,41 +348,58 @@ def _cache_dir() -> Path | None:
 
 
 def _load_entry(entry: Path):
-    """The (doc, array) stored under entry, or _DECLINED; None when it is missing, short,
-    malformed or stored under another key. A hit marks the entry as used now."""
+    """The (doc, array) stored under entry, or _DECLINED; None unless the entry's key, size
+    and CRC-32 all match, so that a hit is exactly what _store_entry wrote under that key.
+    A hit marks the entry as used now.
+
+    The checksum catches damage, not forgery; the directory is its owner's alone.
+    """
     try:
         with entry.open("rb") as fh:
             doc = json.loads(fh.readline())
-            shape = doc.pop("shape")
+            shape, crc = doc.pop("shape"), doc.pop("crc32", None)
             if doc.pop("key") != entry.name:
                 return None
             size = 0 if shape is None else math.prod(shape)
             if fh.tell() + 8 * size != os.fstat(fh.fileno()).st_size:
                 return None
-            stored = _DECLINED if shape is None else (
-                doc, np.fromfile(fh, count=size).reshape(shape))
+            if shape is None:
+                stored = _DECLINED
+            else:
+                array = np.fromfile(fh, count=size)
+                if crc != _checksum(entry.name, shape, doc, array):
+                    return None
+                stored = doc, array.reshape(shape)
         os.utime(entry)
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
     return stored
 
 
+def _checksum(name: str, shape, doc: dict, array: np.ndarray) -> int:
+    """The CRC-32 of an entry: over ``json.dumps([name, shape, doc])``, then the array's bytes."""
+    return zlib.crc32(array, zlib.crc32(json.dumps([name, shape, doc]).encode()))
+
+
 def _store_entry(entry: Path, stored) -> None:
-    """Store a (doc, array) as one JSON line (key, shape, the doc) and the raw array, or
-    None as a decline, one JSON line with a null shape; then evict.
+    """Store a (doc, array) as one JSON line (key, shape, crc32, the doc) and the raw array,
+    or None as a decline, one JSON line with a null shape; then evict.
 
     The entry is written under a temporary name and renamed into place, so
     a reader sees a whole entry or none. An OSError ends the store there and
     removes the temporary file; the result is returned all the same.
     """
-    doc, array = stored or ({}, None)
-    shape = None if array is None else array.shape
+    line = {"key": entry.name, "shape": None}
+    if stored:
+        doc, array = stored
+        line.update(shape=array.shape, crc32=_checksum(entry.name, array.shape, doc, array),
+                    **doc)
     tmp = entry.with_name(f".{entry.name}.{os.getpid()}")
     try:
         entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
         with tmp.open("wb") as fh:
-            fh.write(json.dumps({"key": entry.name, "shape": shape, **doc}).encode() + b"\n")
-            if array is not None:
+            fh.write(json.dumps(line).encode() + b"\n")
+            if stored:
                 array.tofile(fh)
         os.replace(tmp, entry)
         with os.scandir(entry.parent) as it:

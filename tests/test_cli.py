@@ -406,6 +406,41 @@ class TestEvaluateCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestDamagedReadCache:
+    def test_evaluate_after_a_changed_lerp_entry(self, tmp_path, monkeypatch, capsys):
+        """30 mg/dL added to the cached lerp values that episode 0's mask hides: the entry
+        is a miss, so stdout and report.json are those of the first evaluate."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        fx, masks_path, lerp = tmp_path / "fx", tmp_path / "B" / "masks.json", tmp_path / "lerp.csv"
+        assert run("synth", "--days", 20, "--seed", 7, "--hypo-depth", 12, "--noise-std", 2,
+                   "--out", fx) == 0
+        assert run("stress", "--input", fx / "cgm.csv", "--protocol", "B", "--n-peaks", 2,
+                   "--seed", 3, "--out", tmp_path / "B") == 0
+        assert run("impute", "--input", fx / "cgm.csv", "--masks", masks_path,
+                   "--method", "lerp", "--out", lerp) == 0
+        reports = []
+        for read in ("first", "damaged"):
+            capsys.readouterr()
+            out = tmp_path / read
+            assert run("evaluate", "--input", fx / "cgm.csv", "--masks", masks_path,
+                       "--imputed", lerp, "--out", out) == 0
+            reports.append((capsys.readouterr().out.replace(str(out), "OUT"),
+                            (out / "report.json").read_bytes()))
+            if read == "first":
+                (entry,) = [p for p in (tmp_path / "xdg" / "regime-bench").iterdir()
+                            if "runs" in json.loads(p.read_bytes().split(b"\n", 1)[0])]
+                meta, raw = entry.read_bytes().split(b"\n", 1)
+                table = np.frombuffer(raw).copy().reshape(json.loads(meta)["shape"])
+                gaps = json.loads(masks_path.read_text())["masks"][0]["gaps"]
+                hidden = np.zeros(len(table), dtype=bool)
+                for gap in gaps:  # episode 0's rows come first, t in order
+                    hidden[gap["start_index"] : gap["start_index"] + gap["length_samples"]] = True
+                assert hidden.sum() == 94 and (table[hidden, 0] == 0).all()
+                table[hidden, 2] += 30.0
+                entry.write_bytes(meta + b"\n" + table.tobytes())
+        assert reports[1] == reports[0]
+
+
 class TestCalibrateCommand:
     def test_summary_and_histogram(self, pipeline, tmp_path):
         out = tmp_path / "cal"
@@ -1111,6 +1146,22 @@ class TestMetadataLabels:
                    "--masks", bad, "--out", tmp_path / "eval") == 1
         assert capsys.readouterr().err == f"error: {bad}: unknown provenance 'protocol_Z'\n"
         assert not (tmp_path / "eval" / "report.json").exists()
+
+
+class TestInexactTimestamp:
+    def test_an_integer_float64_rounds_names_the_line(self, tmp_path, capsys):
+        """10**20 + 5 rounds to 10**20 in float64: the second reading would merge with the
+        first, so the file fails naming the line."""
+        bad = tmp_path / "cgm.csv"
+        bad.write_text(f"{','.join(core.CGM_HEADER)}\r\np1,{10**20},100.0,0,0,0\r\n"
+                       f"p1,{10**20 + 5},101.0,0,0,0\r\n")
+        out = tmp_path / "A"
+        assert run("stress", "--input", bad, "--protocol", "A", "--seed", 1, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {bad}: line 3: bad timestamp '{10**20 + 5}': "
+                                "float64 does not hold it exactly\n")
+        assert not out.exists()
 
 
 class TestUndecodableInput:

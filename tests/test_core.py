@@ -163,6 +163,12 @@ class TestIngest:
         (ep,) = ingest_csv(write_csv(tmp_path, [f"p1,{10**20},100,0,0,0"]), 240)
         assert ep.start_minute == 10**20
 
+    def test_exact_huge_timestamps_stay_apart(self, tmp_path):
+        # 2**60 and 2**60 + 2**10 are both exact in float64, 1024 minutes apart
+        rows = [f"p1,{2**60},100,0,0,0", f"p1,{2**60 + 2**10},110,0,0,0"]
+        episodes = ingest_csv(write_csv(tmp_path, rows), 240)
+        assert [(ep.episode_id, ep.T) for ep in episodes] == [(0, 1), (1, 1)]
+
     def test_integer_timestamp_beyond_float_range_rejected(self, tmp_path):
         path = write_csv(tmp_path, ["p1,1" + "0" * 400 + ",100,0,0,0"])
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: bad timestamp"):

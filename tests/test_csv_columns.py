@@ -691,7 +691,7 @@ class TestParsedOncePerContent:
         assert blocks.call_count > 0 and len(entries()) == 2
 
     @pytest.mark.parametrize("damage", ["empty", "truncated", "garbage", "longer", "other key",
-                                        "bad shape", "runs short"])
+                                        "bad shape", "runs short", "changed value"])
     def test_damaged_entry_is_a_miss_then_replaced(self, own_cache, small_files, damage):
         path, header, kinds = small_files["cgm"]
         expected = formats.read_columns(path, header, kinds)
@@ -706,6 +706,10 @@ class TestParsedOncePerContent:
             doc["shape"] = [doc["shape"][0] * 5, 1]  # as many cells, other columns
         elif damage == "runs short":
             doc["runs"] = []
+        elif damage == "changed value":
+            values = np.frombuffer(table).copy()
+            values[1] += 1.0  # the first row's glucose, still in range
+            table = values.tobytes()
         bad = {"empty": b"", "truncated": good[:-8], "garbage": b"\xff\x00 not an entry\n" + table,
                "longer": good + b"\0" * 8}.get(damage, json.dumps(doc).encode() + b"\n" + table)
         entry.write_bytes(bad)

@@ -1,8 +1,8 @@
 """The CGM read cache holds ingest's result: one block of episode values and their spans.
 
 A warm read of a canonical CGM file returns the episodes stored by the
-first read, as read-only views of one block, once the block passes its
-checks. These tests hold a hit to the row reader bit for bit, make every
+first read, as read-only views of one block, once the entry's checksum
+matches. These tests hold a hit to the row reader bit for bit, make every
 damaged entry a miss that is then replaced, and check what a hit does not
 do: parse, merge, partition, or hold more than the block.
 """
@@ -116,6 +116,10 @@ def damage_block(name):
             block[spans[0][3] + 5] = 19.0
         elif name == "glucose over range":
             block[spans[0][3] + 5] = 500.5
+        elif name == "glucose in range":
+            block[spans[0][3] + 5] += 1.0
+        elif name == "basal in range":
+            block[n + 3 * 7 + 2] += 1.0
         elif name == "NaN at an episode edge":
             block[spans[1][3]] = math.nan
         elif name == "negative exogenous":
@@ -138,7 +142,7 @@ def damage_block(name):
 BLOCK_DAMAGE = ["offsets past the end", "overlapping offsets", "glucose out of range",
                 "glucose over range", "NaN at an episode edge", "negative exogenous",
                 "NaN exogenous", "infinite exogenous", "zero length", "start off the grid",
-                "ids out of order"]
+                "ids out of order", "glucose in range", "basal in range"]
 
 
 class TestDamagedEntryIsAMissThenReplaced:
